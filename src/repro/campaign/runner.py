@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
+from repro.machine.machine import dispatch_defaults
+
 
 def _machine_of(target):
     """The Machine inside a factory product (LoadedProgram or Machine)."""
@@ -100,17 +102,14 @@ class CampaignSession:
 _WORKER_SESSION: CampaignSession | None = None
 
 
-def _worker_init(factory, trial, decode_default, block_default) -> None:
+def _worker_init(factory, trial, defaults) -> None:
     """Pool initializer: build one warm session for this process.
 
-    The parent's interpreter-cache defaults ride along so workers
-    execute down the same machine path (the differential suites flip
-    those module globals and expect whole pipelines to honour them).
+    The parent's dispatch defaults ride along so workers execute down
+    the same machine path (the differential suites flip those module
+    globals and expect whole pipelines to honour them).
     """
-    import repro.machine.machine as machine_module
-
-    machine_module.DECODE_CACHE_DEFAULT = decode_default
-    machine_module.BLOCK_CACHE_DEFAULT = block_default
+    dispatch_defaults(defaults)
     global _WORKER_SESSION
     _WORKER_SESSION = CampaignSession(factory, trial)
 
@@ -271,8 +270,7 @@ class CampaignRunner:
                     max_workers=jobs,
                     initializer=_worker_init,
                     initargs=(self.factory, self.trial,
-                              machine_module.DECODE_CACHE_DEFAULT,
-                              machine_module.BLOCK_CACHE_DEFAULT),
+                              dispatch_defaults()),
                 )
         return self
 
@@ -338,8 +336,7 @@ class CampaignRunner:
                 session.restored_pages,
             )
         chunks = self._chunks(trials, min(jobs, trials))
-        batches, workers = self._map_chunks(_worker_batch, chunks,
-                                            machine_module)
+        batches, workers = self._map_chunks(_worker_batch, chunks)
         verdicts = [v for batch, _ in batches for v in batch]
         pages = sum(pages for _, pages in batches)
         return CampaignResult(
@@ -414,15 +411,14 @@ class CampaignRunner:
         workers = min(jobs, len(items))
         chunk_ranges = self._chunks(len(items), workers)
         chunks = [[items[i] for i in chunk] for chunk in chunk_ranges]
-        batches, workers = self._map_chunks(_worker_items, chunks,
-                                            machine_module)
+        batches, workers = self._map_chunks(_worker_items, chunks)
         verdicts = [v for batch, _ in batches for v in batch]
         pages = sum(pages for _, pages in batches)
         return CampaignResult(
             verdicts, len(items), workers, perf_counter() - started, pages,
         )
 
-    def _map_chunks(self, worker_fn, chunks, machine_module):
+    def _map_chunks(self, worker_fn, chunks):
         """Map ``worker_fn`` over ``chunks``, reusing the persistent
         pool when one is active (``with runner:``)."""
         if self._pool is not None:
@@ -431,9 +427,7 @@ class CampaignRunner:
         with ProcessPoolExecutor(
             max_workers=len(chunks),
             initializer=_worker_init,
-            initargs=(self.factory, self.trial,
-                      machine_module.DECODE_CACHE_DEFAULT,
-                      machine_module.BLOCK_CACHE_DEFAULT),
+            initargs=(self.factory, self.trial, dispatch_defaults()),
         ) as pool:
             batches = list(pool.map(worker_fn, chunks))
         return batches, len(chunks)

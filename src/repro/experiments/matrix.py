@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.attacks import io_attacks
 from repro.attacks.base import AttackResult
 from repro.experiments.reporting import render_table
+from repro.machine.machine import dispatch_defaults
 from repro.mitigations.config import MATRIX_PRESETS, MitigationConfig
 
 #: The attack battery, in the order the paper introduces the techniques.
@@ -72,17 +73,14 @@ class MatrixCell:
 def _run_cell(task: tuple) -> MatrixCell:
     """Run one (attack, preset) cell.  Module-level so it pickles.
 
-    The parent's interpreter-cache defaults ride along in the task so
-    worker processes execute down the same machine path (the
-    differential suites flip those module globals and expect whole
-    pipelines -- parallel or not -- to honour them).
+    The parent's dispatch defaults ride along in the task so worker
+    processes execute down the same machine path (the differential
+    suites flip those module globals and expect whole pipelines --
+    parallel or not -- to honour them).
     """
     (attack_fn, attack_name, preset_name, preset, seed,
-     decode_default, block_default, invariants) = task
-    import repro.machine.machine as machine_module
-
-    machine_module.DECODE_CACHE_DEFAULT = decode_default
-    machine_module.BLOCK_CACHE_DEFAULT = block_default
+     defaults, invariants) = task
+    dispatch_defaults(defaults)
     if not invariants:
         return MatrixCell(attack_name, preset_name,
                           attack_fn(preset, seed=seed))
@@ -136,8 +134,7 @@ def run_matrix(
 
     tasks = [
         (attack_fn, attack_name, preset_name, preset, seed,
-         machine_module.DECODE_CACHE_DEFAULT,
-         machine_module.BLOCK_CACHE_DEFAULT, invariants)
+         dispatch_defaults(), invariants)
         for attack_fn, attack_name in UNIQUE_ATTACKS
         for preset_name, preset in presets
     ]

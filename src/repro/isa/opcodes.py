@@ -10,12 +10,27 @@ ablation in the benchmarks quantifies this.
 Each mnemonic maps to one or more encodings, distinguished by operand
 format (e.g. ``mov r0, r1`` and ``mov r0, 42`` use different opcodes,
 exactly like x86 ModRM vs immediate forms).
+
+:data:`OPCODE_TABLE` is also the one definition of opcode *semantics*:
+each row states its register roles, FLAGS effects, memory class,
+execute-time fault capability and control kind, plus the result
+expression of an ALU op and the predicate of a conditional branch.
+The interpreter (:mod:`repro.machine.cpu`), the decoded IR
+(:mod:`repro.machine.ir`), the block translator
+(:mod:`repro.machine.blocks`) and the trace JIT
+(:mod:`repro.machine.trace`) all derive their per-opcode behaviour
+from these rows; what stays hand-written in each tier is execution
+policy, not semantics.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Final, NamedTuple
+import re
+from typing import Callable, Final, NamedTuple
+
+from repro.errors import DivisionFault
+from repro.isa.registers import NUM_REGISTERS, SP
 
 
 class OperandFormat(enum.Enum):
@@ -58,60 +73,211 @@ FORMAT_LENGTHS: Final[dict[OperandFormat, int]] = {
 MAX_INSTRUCTION_LENGTH: Final[int] = max(FORMAT_LENGTHS.values())
 
 
+class ControlKind(enum.Enum):
+    """How an instruction affects control flow."""
+
+    #: Straight-line: execution falls through to the next instruction.
+    FALL = "fall"
+    #: Unconditional direct jump to the immediate target.
+    JUMP = "jump"
+    #: Indirect jump through a register.
+    JUMP_REG = "jump_reg"
+    #: Conditional branch: the target if taken, else fall through.
+    BRANCH = "branch"
+    #: Direct call (pushes the return address).
+    CALL = "call"
+    #: Indirect call through a register.
+    CALL_REG = "call_reg"
+    #: Return through the architectural stack.
+    RET = "ret"
+    #: Syscall: the handler may halt, exit, or rewrite the machine.
+    SYS = "sys"
+    #: Halt.
+    HALT = "halt"
+
+
+#: FLAGS defined by arithmetic/logic results: zero and sign of the result.
+RESULT_FLAGS: Final[frozenset[str]] = frozenset({"zf", "lt"})
+#: FLAGS defined by comparisons: equal, signed-below, unsigned-below.
+COMPARE_FLAGS: Final[frozenset[str]] = frozenset({"zf", "lt", "ult"})
+
+
+def c_div(a: int, b: int) -> int:
+    """C-style signed 32-bit division (truncation toward zero)."""
+    sa = ((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+    sb = ((b & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+    if sb == 0:
+        raise DivisionFault("division by zero")
+    quotient = abs(sa) // abs(sb)
+    if (sa < 0) != (sb < 0):
+        quotient = -quotient
+    return quotient & 0xFFFFFFFF
+
+
+def c_mod(a: int, b: int) -> int:
+    """C-style signed 32-bit remainder (sign follows the dividend)."""
+    sa = ((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+    sb = ((b & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+    if sb == 0:
+        raise DivisionFault("modulo by zero")
+    remainder = abs(sa) % abs(sb)
+    if sa < 0:
+        remainder = -remainder
+    return remainder & 0xFFFFFFFF
+
+
 class OpcodeSpec(NamedTuple):
-    """One encoding of one mnemonic."""
+    """One encoding of one mnemonic, and its semantics."""
 
     opcode: int
     mnemonic: str
     fmt: OperandFormat
+    #: Register role of each operand, in operand order: ``"r"`` read,
+    #: ``"w"`` written, ``"rw"`` both, ``"m"`` a memory reference
+    #: (its base register is read), ``""`` an immediate or target.
+    roles: tuple[str, ...] = ()
+    #: Registers implicitly read *and* written: SP for stack traffic,
+    #: every register for ``sys`` (handlers may touch any of them).
+    implicit: frozenset[int] = frozenset()
+    #: ALU result as a Python expression over ``{a}`` (the destination's
+    #: value) and ``{b}`` (the second operand's value), already reduced
+    #: to 32 bits; ``_div``/``_mod`` name :func:`c_div`/:func:`c_mod`.
+    expr: str | None = None
+    #: Mask applied to an immediate ``{b}`` (shift counts use 5 bits).
+    imm_mask: int = 0xFFFFFFFF
+    #: Conditional-branch predicate over ``{zf}``, ``{lt}``, ``{ult}``.
+    cond: str | None = None
+    #: FLAGS defined (:data:`RESULT_FLAGS` or :data:`COMPARE_FLAGS`).
+    flags_written: frozenset[str] = frozenset()
+    #: Guest-data traffic through the machine's checked accessors:
+    #: ``"read"`` (load class), ``"write"`` (store class -- may hit a
+    #: watched code page), or ``""``.  Call/ret stack traffic goes
+    #: through the return-address helpers instead.
+    mem: str = ""
+    #: Can this instruction fault at execute time on the baseline
+    #: machine (memory access, div/mod by zero, CFI and shadow-stack
+    #: checks, bounds checks, syscalls)?
+    can_fault: bool = False
+    control: ControlKind = ControlKind.FALL
+    #: Derived from ``expr``: ``fold(a, b)`` computes the result.
+    fold: Callable[[int, int], int] | None = None
+    #: Derived from ``cond``: ``predicate(zf, lt, ult)`` -> taken?
+    predicate: Callable[[bool, bool, bool], bool] | None = None
+    #: Derived from ``cond``: the FLAGS the predicate tests.
+    flags_read: frozenset[str] = frozenset()
+
+    def operand_b(self, operands: tuple, register: Callable,
+                  immediate: Callable = int):
+        """The ``{b}`` operand of an ALU or compare row, in a tier's
+        terms: ``register(reg)`` for a register operand, else
+        ``immediate(value)`` of the masked immediate (0 for ``not``)."""
+        if self.fmt is OperandFormat.REGREG:
+            return register(operands[1])
+        if self.fmt is OperandFormat.REG:
+            return immediate(0)
+        return immediate(operands[1] & self.imm_mask)
 
 
-#: The full opcode table.  Opcode bytes not listed here are invalid and
-#: raise :class:`~repro.errors.DecodeError` /
+def _op(opcode: int, mnemonic: str, fmt: OperandFormat,
+        roles: tuple[str, ...] = (), **semantics) -> OpcodeSpec:
+    """One table row; compiles ``expr``/``cond`` into their callables."""
+    expr = semantics.get("expr")
+    if expr is not None:
+        semantics["fold"] = eval(
+            f"lambda a, b: {expr.format(a='a', b='b')}",
+            {"_div": c_div, "_mod": c_mod},
+        )
+    cond = semantics.get("cond")
+    if cond is not None:
+        semantics["predicate"] = eval(
+            f"lambda zf, lt, ult: {cond.format(zf='zf', lt='lt', ult='ult')}")
+        semantics["flags_read"] = frozenset(re.findall(r"\{(\w+)\}", cond))
+    return OpcodeSpec(opcode, mnemonic, fmt, roles, **semantics)
+
+
+#: The full opcode table, and the one definition of opcode semantics.
+#: Opcode bytes not listed here are invalid and raise
+#: :class:`~repro.errors.DecodeError` /
 #: :class:`~repro.errors.InvalidInstructionFault`.
 OPCODE_TABLE: Final[tuple[OpcodeSpec, ...]] = (
-    OpcodeSpec(0x00, "nop", OperandFormat.NONE),
-    OpcodeSpec(0x01, "halt", OperandFormat.NONE),
-    OpcodeSpec(0x02, "mov", OperandFormat.REGREG),
-    OpcodeSpec(0x03, "mov", OperandFormat.REGIMM32),
-    OpcodeSpec(0x04, "load", OperandFormat.REGMEM),
-    OpcodeSpec(0x05, "store", OperandFormat.REGMEM),
-    OpcodeSpec(0x06, "loadb", OperandFormat.REGMEM),
-    OpcodeSpec(0x07, "storeb", OperandFormat.REGMEM),
-    OpcodeSpec(0x08, "push", OperandFormat.REG),
-    OpcodeSpec(0x09, "pop", OperandFormat.REG),
-    OpcodeSpec(0x0A, "add", OperandFormat.REGREG),
-    OpcodeSpec(0x0B, "add", OperandFormat.REGIMM32),
-    OpcodeSpec(0x0C, "sub", OperandFormat.REGREG),
-    OpcodeSpec(0x0D, "sub", OperandFormat.REGIMM32),
-    OpcodeSpec(0x0E, "mul", OperandFormat.REGREG),
-    OpcodeSpec(0x0F, "div", OperandFormat.REGREG),
-    OpcodeSpec(0x10, "mod", OperandFormat.REGREG),
-    OpcodeSpec(0x11, "and", OperandFormat.REGREG),
-    OpcodeSpec(0x12, "or", OperandFormat.REGREG),
-    OpcodeSpec(0x13, "xor", OperandFormat.REGREG),
-    OpcodeSpec(0x14, "not", OperandFormat.REG),
-    OpcodeSpec(0x15, "shl", OperandFormat.REGIMM8),
-    OpcodeSpec(0x16, "shr", OperandFormat.REGIMM8),
-    OpcodeSpec(0x17, "cmp", OperandFormat.REGREG),
-    OpcodeSpec(0x18, "cmp", OperandFormat.REGIMM32),
-    OpcodeSpec(0x19, "jmp", OperandFormat.IMM32),
-    OpcodeSpec(0x1A, "jmp", OperandFormat.REG),
-    OpcodeSpec(0x1B, "jz", OperandFormat.IMM32),
-    OpcodeSpec(0x1C, "jnz", OperandFormat.IMM32),
-    OpcodeSpec(0x1D, "jl", OperandFormat.IMM32),
-    OpcodeSpec(0x1E, "jg", OperandFormat.IMM32),
-    OpcodeSpec(0x1F, "jle", OperandFormat.IMM32),
-    OpcodeSpec(0x20, "jge", OperandFormat.IMM32),
-    OpcodeSpec(0x21, "jb", OperandFormat.IMM32),
-    OpcodeSpec(0x22, "jae", OperandFormat.IMM32),
-    OpcodeSpec(0x23, "call", OperandFormat.IMM32),
-    OpcodeSpec(0x24, "call", OperandFormat.REG),
-    OpcodeSpec(0x25, "ret", OperandFormat.NONE),
-    OpcodeSpec(0x26, "sys", OperandFormat.IMM8),
-    OpcodeSpec(0x27, "lea", OperandFormat.REGMEM),
-    OpcodeSpec(0x28, "chk", OperandFormat.REGIMM32),
-    OpcodeSpec(0x29, "land", OperandFormat.IMM8),
+    _op(0x00, "nop", OperandFormat.NONE),
+    _op(0x01, "halt", OperandFormat.NONE, control=ControlKind.HALT),
+    _op(0x02, "mov", OperandFormat.REGREG, ("w", "r")),
+    _op(0x03, "mov", OperandFormat.REGIMM32, ("w", "")),
+    _op(0x04, "load", OperandFormat.REGMEM, ("w", "m"),
+        mem="read", can_fault=True),
+    _op(0x05, "store", OperandFormat.REGMEM, ("r", "m"),
+        mem="write", can_fault=True),
+    _op(0x06, "loadb", OperandFormat.REGMEM, ("w", "m"),
+        mem="read", can_fault=True),
+    _op(0x07, "storeb", OperandFormat.REGMEM, ("r", "m"),
+        mem="write", can_fault=True),
+    _op(0x08, "push", OperandFormat.REG, ("r",), implicit=frozenset({SP}),
+        mem="write", can_fault=True),
+    _op(0x09, "pop", OperandFormat.REG, ("w",), implicit=frozenset({SP}),
+        mem="read", can_fault=True),
+    _op(0x0A, "add", OperandFormat.REGREG, ("rw", "r"),
+        expr="({a} + {b}) & 4294967295", flags_written=RESULT_FLAGS),
+    _op(0x0B, "add", OperandFormat.REGIMM32, ("rw", ""),
+        expr="({a} + {b}) & 4294967295", flags_written=RESULT_FLAGS),
+    _op(0x0C, "sub", OperandFormat.REGREG, ("rw", "r"),
+        expr="({a} - {b}) & 4294967295", flags_written=RESULT_FLAGS),
+    _op(0x0D, "sub", OperandFormat.REGIMM32, ("rw", ""),
+        expr="({a} - {b}) & 4294967295", flags_written=RESULT_FLAGS),
+    _op(0x0E, "mul", OperandFormat.REGREG, ("rw", "r"),
+        expr="({a} * {b}) & 4294967295", flags_written=RESULT_FLAGS),
+    _op(0x0F, "div", OperandFormat.REGREG, ("rw", "r"),
+        expr="_div({a}, {b})", flags_written=RESULT_FLAGS, can_fault=True),
+    _op(0x10, "mod", OperandFormat.REGREG, ("rw", "r"),
+        expr="_mod({a}, {b})", flags_written=RESULT_FLAGS, can_fault=True),
+    _op(0x11, "and", OperandFormat.REGREG, ("rw", "r"),
+        expr="{a} & {b}", flags_written=RESULT_FLAGS),
+    _op(0x12, "or", OperandFormat.REGREG, ("rw", "r"),
+        expr="{a} | {b}", flags_written=RESULT_FLAGS),
+    _op(0x13, "xor", OperandFormat.REGREG, ("rw", "r"),
+        expr="{a} ^ {b}", flags_written=RESULT_FLAGS),
+    _op(0x14, "not", OperandFormat.REG, ("rw",),
+        expr="{a} ^ 4294967295", flags_written=RESULT_FLAGS),
+    _op(0x15, "shl", OperandFormat.REGIMM8, ("rw", ""),
+        expr="({a} << {b}) & 4294967295", imm_mask=31,
+        flags_written=RESULT_FLAGS),
+    _op(0x16, "shr", OperandFormat.REGIMM8, ("rw", ""),
+        expr="{a} >> {b}", imm_mask=31, flags_written=RESULT_FLAGS),
+    _op(0x17, "cmp", OperandFormat.REGREG, ("r", "r"),
+        flags_written=COMPARE_FLAGS),
+    _op(0x18, "cmp", OperandFormat.REGIMM32, ("r", ""),
+        flags_written=COMPARE_FLAGS),
+    _op(0x19, "jmp", OperandFormat.IMM32, ("",), control=ControlKind.JUMP),
+    _op(0x1A, "jmp", OperandFormat.REG, ("r",),
+        control=ControlKind.JUMP_REG, can_fault=True),
+    _op(0x1B, "jz", OperandFormat.IMM32, ("",),
+        cond="{zf}", control=ControlKind.BRANCH),
+    _op(0x1C, "jnz", OperandFormat.IMM32, ("",),
+        cond="not {zf}", control=ControlKind.BRANCH),
+    _op(0x1D, "jl", OperandFormat.IMM32, ("",),
+        cond="{lt}", control=ControlKind.BRANCH),
+    _op(0x1E, "jg", OperandFormat.IMM32, ("",),
+        cond="not {lt} and not {zf}", control=ControlKind.BRANCH),
+    _op(0x1F, "jle", OperandFormat.IMM32, ("",),
+        cond="{lt} or {zf}", control=ControlKind.BRANCH),
+    _op(0x20, "jge", OperandFormat.IMM32, ("",),
+        cond="not {lt}", control=ControlKind.BRANCH),
+    _op(0x21, "jb", OperandFormat.IMM32, ("",),
+        cond="{ult}", control=ControlKind.BRANCH),
+    _op(0x22, "jae", OperandFormat.IMM32, ("",),
+        cond="not {ult}", control=ControlKind.BRANCH),
+    _op(0x23, "call", OperandFormat.IMM32, ("",), implicit=frozenset({SP}),
+        control=ControlKind.CALL, can_fault=True),
+    _op(0x24, "call", OperandFormat.REG, ("r",), implicit=frozenset({SP}),
+        control=ControlKind.CALL_REG, can_fault=True),
+    _op(0x25, "ret", OperandFormat.NONE, implicit=frozenset({SP}),
+        control=ControlKind.RET, can_fault=True),
+    _op(0x26, "sys", OperandFormat.IMM8, ("",),
+        implicit=frozenset(range(NUM_REGISTERS)),
+        control=ControlKind.SYS, can_fault=True),
+    _op(0x27, "lea", OperandFormat.REGMEM, ("w", "m")),
+    _op(0x28, "chk", OperandFormat.REGIMM32, ("r", ""), can_fault=True),
+    _op(0x29, "land", OperandFormat.IMM8, ("",)),
 )
 
 #: The landing-pad opcode used by typed CFI (executes as a no-op).
@@ -141,22 +307,9 @@ for _spec in OPCODE_TABLE:
 #: gadget finder (it plays the role of x86's ``0xC3``).
 RET_OPCODE: Final[int] = 0x25
 
-#: Mnemonics that unconditionally transfer control.
-UNCONDITIONAL_FLOW: Final[frozenset[str]] = frozenset({"jmp", "call", "ret", "halt"})
-
-#: Conditional branch mnemonics and the flag predicate they test.
+#: Conditional branch mnemonics.
 CONDITIONAL_BRANCHES: Final[frozenset[str]] = frozenset(
-    {"jz", "jnz", "jl", "jg", "jle", "jge", "jb", "jae"}
-)
-
-#: Opcode bytes that (may) transfer control: jumps, conditional
-#: branches, calls and returns.  Derived from the mnemonic sets above
-#: so the table stays the single source of truth.
-TRANSFER_OPCODES: Final[frozenset[int]] = frozenset(
-    spec.opcode
-    for spec in OPCODE_TABLE
-    if spec.mnemonic in CONDITIONAL_BRANCHES
-    or spec.mnemonic in ("jmp", "call", "ret")
+    spec.mnemonic for spec in OPCODE_TABLE if spec.cond is not None
 )
 
 #: Opcode bytes that end a basic block for the block translator:
@@ -164,6 +317,6 @@ TRANSFER_OPCODES: Final[frozenset[int]] = frozenset(
 #: ``sys`` (syscall handlers may halt/exit the machine, attach
 #: observers, or rewrite memory -- the translator re-dispatches after
 #: each one rather than speculating through it).
-BLOCK_END_OPCODES: Final[frozenset[int]] = TRANSFER_OPCODES | frozenset(
-    spec.opcode for spec in OPCODE_TABLE if spec.mnemonic in ("halt", "sys")
+BLOCK_END_OPCODES: Final[frozenset[int]] = frozenset(
+    spec.opcode for spec in OPCODE_TABLE if spec.control is not ControlKind.FALL
 )

@@ -12,6 +12,13 @@ immediates and effective-address arithmetic baked in as literals, the
 instruction counter bumped once per block, and ``cpu.ip`` committed
 once at the block end.
 
+Opcode semantics come from :data:`~repro.isa.opcodes.OPCODE_TABLE`,
+their one definition: every ALU instruction is emitted from its row's
+result template and every conditional branch from its row's
+predicate template, and the memory/store classes that decide the
+inline fast paths and epoch checks are row facts too.  What this
+module writes by hand is translation policy.
+
 Fidelity rules (the attacker model makes these load-bearing -- an
 exploit's machine state is part of the semantics):
 
@@ -94,8 +101,7 @@ from typing import Callable, NamedTuple
 
 from repro.errors import MachineFault
 from repro.isa.instructions import WORD_MASK
-from repro.isa.opcodes import BLOCK_END_OPCODES
-from repro.machine.cpu import c_div, c_mod
+from repro.isa.opcodes import BLOCK_END_OPCODES, c_div, c_mod
 from repro.machine.ir import IRInst, lift_block
 from repro.machine.memory import PAGE_SIZE, PERM_X, _PAGE_SHIFT, _U32
 
@@ -106,36 +112,6 @@ _PAGE_MASK = PAGE_SIZE - 1
 #: realistic straight-line run on a 4 KiB page, small enough to keep
 #: translation latency negligible.
 MAX_BLOCK_INSNS = 64
-
-_M = WORD_MASK  # 4294967295
-_SIGN = 0x80000000
-
-#: Condition expressions for the conditional branches, over the local
-#: flag variables of the generated function (same predicates as the
-#: interpreter's dispatch table in repro.machine.cpu).
-_BRANCH_CONDITIONS = {
-    0x1B: "zf",                  # jz
-    0x1C: "not zf",              # jnz
-    0x1D: "lt",                  # jl
-    0x1E: "not lt and not zf",   # jg
-    0x1F: "lt or zf",            # jle
-    0x20: "not lt",              # jge
-    0x21: "ult",                 # jb
-    0x22: "not ult",             # jae
-}
-
-_ARITH_RR = {0x0A: "+", 0x0C: "-", 0x0E: "*"}
-_ARITH_RI = {0x0B: "+", 0x0D: "-"}
-_LOGIC_RR = {0x11: "&", 0x12: "|", 0x13: "^"}
-
-#: Opcodes that touch guest memory through the machine's checked
-#: accessors: load, store, loadb, storeb, push, pop.
-_MEMORY_OPCODES = frozenset({0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
-
-#: The subset that writes (and can therefore invalidate blocks,
-#: including the one executing).
-_STORE_OPCODES = frozenset({0x05, 0x07, 0x08})
-
 
 class CompiledBlock(NamedTuple):
     """One translated basic block, keyed by its head address."""
@@ -233,12 +209,10 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
     #: terminators commit ``cpu.ip`` inside the try and fall through).
     tail_events: list[str] = []
     uses_epoch = any(
-        irx.opcode in _STORE_OPCODES and k != last_index
+        irx.spec.mem == "write" and k != last_index
         for k, irx in enumerate(insns)
     )
-    uses_mem = inline_mem and any(
-        irx.opcode in _MEMORY_OPCODES for irx in insns
-    )
+    uses_mem = inline_mem and any(irx.spec.mem for irx in insns)
     exit_targets: list[int] = []
 
     def chain_cell(target: int) -> str:
@@ -267,6 +241,7 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
         ip = irx.addr
         nxt = irx.next_addr
         op = irx.opcode
+        spec = irx.spec
         ops = irx.operands
         last = k == last_index
 
@@ -308,7 +283,7 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
         elif op == 0x02:  # mov rr
             emit(f"        regs[{ops[0]}] = regs[{ops[1]}]")
         elif op == 0x03:  # mov ri
-            emit(f"        regs[{ops[0]}] = {ops[1] & _M}")
+            emit(f"        regs[{ops[0]}] = {ops[1] & WORD_MASK}")
         elif op == 0x04:  # load
             reg, mem = ops
             emit(f"        _a = (regs[{mem.base}] + {mem.disp}) & 4294967295")
@@ -413,37 +388,11 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
                 emit("        _v = m.read_word(_sp)")
             emit("        regs[8] = (_sp + 4) & 4294967295")
             emit(f"        regs[{ops[0]}] = _v")
-        elif op in _ARITH_RR:
-            emit(f"        _t = (regs[{ops[0]}] {_ARITH_RR[op]} "
-                 f"regs[{ops[1]}]) & 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op in _ARITH_RI:
-            emit(f"        _t = (regs[{ops[0]}] {_ARITH_RI[op]} "
-                 f"{ops[1] & _M}) & 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op in (0x0F, 0x10):  # div / mod (DivisionFault possible)
-            helper = "_div" if op == 0x0F else "_mod"
-            emit(f"        {markers}")
-            emit(f"        _t = {helper}(regs[{ops[0]}], regs[{ops[1]}])")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op in _LOGIC_RR:  # operands are masked, result stays masked
-            emit(f"        _t = regs[{ops[0]}] {_LOGIC_RR[op]} regs[{ops[1]}]")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x14:  # not
-            emit(f"        _t = regs[{ops[0]}] ^ 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x15:  # shl
-            emit(f"        _t = (regs[{ops[0]}] << {ops[1] & 31})"
-                 " & 4294967295")
-            emit(f"        regs[{ops[0]}] = _t")
-            flags()
-        elif op == 0x16:  # shr
-            emit(f"        _t = regs[{ops[0]}] >> {ops[1] & 31}")
+        elif spec.expr is not None:  # ALU: the table's result template
+            b = spec.operand_b(ops, "regs[{}]".format)
+            if spec.can_fault:  # div/mod: DivisionFault possible
+                emit(f"        {markers}")
+            emit(f"        _t = {spec.expr.format(a=f'regs[{ops[0]}]', b=b)}")
             emit(f"        regs[{ops[0]}] = _t")
             flags()
         elif op == 0x17:  # cmp rr (signed compare via sign-bit flip)
@@ -451,30 +400,30 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
             emit("        zf = _a == _b; "
                  "lt = (_a ^ 2147483648) < (_b ^ 2147483648); ult = _a < _b")
         elif op == 0x18:  # cmp ri
-            imm = ops[1] & _M
+            imm = ops[1] & WORD_MASK
             emit(f"        _a = regs[{ops[0]}]")
             emit(f"        zf = _a == {imm}; "
-                 f"lt = (_a ^ 2147483648) < {imm ^ _SIGN}; ult = _a < {imm}")
+                 f"lt = (_a ^ 2147483648) < {imm ^ 0x80000000}; ult = _a < {imm}")
         elif op == 0x27:  # lea
             reg, mem = ops
             emit(f"        regs[{reg}] = (regs[{mem.base}] + {mem.disp})"
                  " & 4294967295")
         elif op == 0x28:  # chk
             emit(f"        {markers}")
-            emit(f"        m.bounds_check(regs[{ops[0]}], {ops[1] & _M})")
+            emit(f"        m.bounds_check(regs[{ops[0]}], {ops[1] & WORD_MASK})")
         elif op == 0x19:  # jmp imm (terminator, chained)
             writeback()
-            target = ops[0] & _M
+            target = ops[0] & WORD_MASK
             emit(f"        cpu.ip = {target}")
             emit(f"        m.instructions_executed += {len(insns)}")
             if ev_jump:
                 emit(f"        for _o in _hj: _o.on_jump(m, {ip}, "
                      f"{target}, False)")
             emit(f"        return {chain_cell(target)}")
-        elif op in _BRANCH_CONDITIONS:  # jcc (terminator, both edges chained)
+        elif spec.cond is not None:  # jcc (terminator, both edges chained)
             writeback()
-            target = ops[0] & _M
-            emit(f"        if {_BRANCH_CONDITIONS[op]}:")
+            target = ops[0] & WORD_MASK
+            emit(f"        if {spec.cond.format(zf='zf', lt='lt', ult='ult')}:")
             emit(f"            cpu.ip = {target}")
             emit(f"            m.instructions_executed += {len(insns)}")
             if ev_branch:
@@ -502,7 +451,7 @@ def _emit(insns: list[IRInst], head: int, pma_active: bool,
         elif op == 0x23:  # call imm (terminator, stack push may fault;
             # chained -- any fault raises before the successor return)
             writeback()
-            target = ops[0] & _M
+            target = ops[0] & WORD_MASK
             emit(f"        n = {k}; eip = {nxt}")
             emit(f"        m.push_return_address({nxt})")
             emit(f"        cpu.ip = {target}")

@@ -7,14 +7,18 @@ execute stage here and all policy (page permissions, PMA rules, shadow
 stack, CFI) in the machine mirrors the paper's layering: the attacks
 live entirely in the semantics below; the countermeasures are hooks
 around them.
+
+The ALU, compare and conditional-branch handlers are built from their
+rows of :data:`~repro.isa.opcodes.OPCODE_TABLE` (fold functions and
+branch predicates), the semantics every execution tier shares.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import DivisionFault
-from repro.isa.instructions import Instruction, Mem, WORD_MASK, to_signed, to_unsigned
+from repro.isa.instructions import Instruction, Mem, WORD_MASK, to_signed
+from repro.isa.opcodes import COMPARE_FLAGS, OPCODE_TABLE, OpcodeSpec, OperandFormat
 from repro.isa.registers import NUM_REGISTERS, REGISTER_NAMES, SP
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,11 +68,6 @@ class CPU:
         return state
 
     # -- flag helpers ---------------------------------------------------------
-
-    def _set_flags_result(self, result: int) -> None:
-        result &= WORD_MASK
-        self.zf = result == 0
-        self.lt = to_signed(result) < 0
 
     def _set_flags_compare(self, a: int, b: int) -> None:
         a &= WORD_MASK
@@ -144,87 +143,6 @@ def _pop(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
     cpu.regs[reg] = machine.pop_word()
 
 
-def _binary_op(op: Callable[[int, int], int]) -> Callable:
-    def handler(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-        dst, src = insn.operands
-        result = op(cpu.regs[dst], cpu.regs[src]) & WORD_MASK
-        cpu.regs[dst] = result
-        cpu._set_flags_result(result)
-
-    return handler
-
-
-def _binary_imm_op(op: Callable[[int, int], int]) -> Callable:
-    def handler(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-        dst, imm = insn.operands
-        result = op(cpu.regs[dst], imm) & WORD_MASK
-        cpu.regs[dst] = result
-        cpu._set_flags_result(result)
-
-    return handler
-
-
-def _c_div(a: int, b: int) -> int:
-    """C-style signed division (truncation toward zero)."""
-    sa, sb = to_signed(a), to_signed(b)
-    if sb == 0:
-        raise DivisionFault("division by zero")
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return to_unsigned(quotient)
-
-
-def _c_mod(a: int, b: int) -> int:
-    """C-style signed remainder (sign follows the dividend)."""
-    sa, sb = to_signed(a), to_signed(b)
-    if sb == 0:
-        raise DivisionFault("modulo by zero")
-    remainder = abs(sa) % abs(sb)
-    if sa < 0:
-        remainder = -remainder
-    return to_unsigned(remainder)
-
-
-#: Public names for the division helpers: the block translator
-#: (repro.machine.blocks) embeds direct calls to these in generated
-#: code so div/mod keep the exact C-style truncation semantics and
-#: DivisionFault behaviour of the interpreter.
-c_div = _c_div
-c_mod = _c_mod
-
-
-def _not(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-    (reg,) = insn.operands
-    result = (~cpu.regs[reg]) & WORD_MASK
-    cpu.regs[reg] = result
-    cpu._set_flags_result(result)
-
-
-def _shl(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-    reg, amount = insn.operands
-    result = (cpu.regs[reg] << (amount & 31)) & WORD_MASK
-    cpu.regs[reg] = result
-    cpu._set_flags_result(result)
-
-
-def _shr(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-    reg, amount = insn.operands
-    result = (cpu.regs[reg] & WORD_MASK) >> (amount & 31)
-    cpu.regs[reg] = result
-    cpu._set_flags_result(result)
-
-
-def _cmp_rr(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-    a, b = insn.operands
-    cpu._set_flags_compare(cpu.regs[a], cpu.regs[b])
-
-
-def _cmp_ri(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-    a, imm = insn.operands
-    cpu._set_flags_compare(cpu.regs[a], imm)
-
-
 def _jmp_abs(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
     cpu.ip = insn.operands[0] & WORD_MASK
 
@@ -233,14 +151,6 @@ def _jmp_reg(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
     target = cpu.regs[insn.operands[0]]
     machine.check_indirect_target(target)
     cpu.ip = target
-
-
-def _conditional(predicate: Callable[[CPU], bool]) -> Callable:
-    def handler(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
-        if predicate(cpu):
-            cpu.ip = insn.operands[0] & WORD_MASK
-
-    return handler
 
 
 def _call_abs(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
@@ -273,6 +183,8 @@ def _chk(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
     machine.bounds_check(cpu.regs[reg], limit)
 
 
+#: Handlers for the rows whose semantics are not a table template:
+#: moves, memory traffic, control transfers and platform services.
 _HANDLERS: dict[int, Callable] = {
     0x00: _nop,
     0x01: _halt,
@@ -284,31 +196,8 @@ _HANDLERS: dict[int, Callable] = {
     0x07: _storeb,
     0x08: _push,
     0x09: _pop,
-    0x0A: _binary_op(lambda a, b: a + b),
-    0x0B: _binary_imm_op(lambda a, b: a + b),
-    0x0C: _binary_op(lambda a, b: a - b),
-    0x0D: _binary_imm_op(lambda a, b: a - b),
-    0x0E: _binary_op(lambda a, b: a * b),
-    0x0F: _binary_op(_c_div),
-    0x10: _binary_op(_c_mod),
-    0x11: _binary_op(lambda a, b: a & b),
-    0x12: _binary_op(lambda a, b: a | b),
-    0x13: _binary_op(lambda a, b: a ^ b),
-    0x14: _not,
-    0x15: _shl,
-    0x16: _shr,
-    0x17: _cmp_rr,
-    0x18: _cmp_ri,
     0x19: _jmp_abs,
     0x1A: _jmp_reg,
-    0x1B: _conditional(lambda cpu: cpu.zf),
-    0x1C: _conditional(lambda cpu: not cpu.zf),
-    0x1D: _conditional(lambda cpu: cpu.lt),
-    0x1E: _conditional(lambda cpu: not cpu.lt and not cpu.zf),
-    0x1F: _conditional(lambda cpu: cpu.lt or cpu.zf),
-    0x20: _conditional(lambda cpu: not cpu.lt),
-    0x21: _conditional(lambda cpu: cpu.ult),
-    0x22: _conditional(lambda cpu: not cpu.ult),
     0x23: _call_abs,
     0x24: _call_reg,
     0x25: _ret,
@@ -317,6 +206,54 @@ _HANDLERS: dict[int, Callable] = {
     0x28: _chk,
     0x29: _nop,  # land: a typed-CFI landing pad, inert when executed
 }
+
+
+# Handlers derived from the opcode table: ALU results, compares and
+# conditional branches.
+
+
+def _second_operand(spec: OpcodeSpec) -> Callable[[CPU, tuple], int]:
+    """Reader for the ``{b}`` value of an ALU or compare row."""
+    if spec.fmt is OperandFormat.REGREG:
+        return lambda cpu, ops: cpu.regs[ops[1]]
+    if spec.fmt is OperandFormat.REG:
+        return lambda cpu, ops: 0
+    mask = spec.imm_mask
+    return lambda cpu, ops: ops[1] & mask
+
+
+def _alu(spec: OpcodeSpec) -> Callable:
+    fold = spec.fold
+    operand = _second_operand(spec)
+
+    def handler(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
+        ops = insn.operands
+        result = fold(cpu.regs[ops[0]], operand(cpu, ops))
+        cpu.regs[ops[0]] = result
+        cpu.zf = result == 0
+        cpu.lt = result > 0x7FFFFFFF
+
+    return handler
+
+
+def _compare(spec: OpcodeSpec) -> Callable:
+    operand = _second_operand(spec)
+
+    def handler(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
+        ops = insn.operands
+        cpu._set_flags_compare(cpu.regs[ops[0]], operand(cpu, ops))
+
+    return handler
+
+
+def _branch(spec: OpcodeSpec) -> Callable:
+    predicate = spec.predicate
+
+    def handler(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
+        if predicate(cpu.zf, cpu.lt, cpu.ult):
+            cpu.ip = insn.operands[0] & WORD_MASK
+
+    return handler
 
 
 def _undefined(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
@@ -330,5 +267,12 @@ def _undefined(cpu: CPU, insn: Instruction, machine: "Machine") -> None:
 #: Flat 256-entry dispatch table indexed by opcode byte -- one list
 #: index instead of a dict hash on the interpreter's hottest line.
 _DISPATCH: list[Callable] = [_undefined] * 256
-for _opcode, _handler in _HANDLERS.items():
-    _DISPATCH[_opcode] = _handler
+for _spec in OPCODE_TABLE:
+    if _spec.expr is not None:
+        _DISPATCH[_spec.opcode] = _alu(_spec)
+    elif _spec.flags_written == COMPARE_FLAGS:
+        _DISPATCH[_spec.opcode] = _compare(_spec)
+    elif _spec.cond is not None:
+        _DISPATCH[_spec.opcode] = _branch(_spec)
+    else:
+        _DISPATCH[_spec.opcode] = _HANDLERS[_spec.opcode]

@@ -17,6 +17,11 @@ re-deriving it from opcode bytes --
   checks, shadow-stack checks, bounds checks, syscalls);
 * its control-flow kind and static target/fall-through addresses.
 
+Every per-opcode fact here is derived from the instruction's row of
+:data:`~repro.isa.opcodes.OPCODE_TABLE`, the one definition of VN32
+opcode semantics; :attr:`IRInst.spec` carries that row to the code
+generators.
+
 Consumers today are the superblock compiler
 (:mod:`repro.machine.blocks`) and the trace JIT
 (:mod:`repro.machine.trace`); the layer is deliberately free of any
@@ -33,47 +38,18 @@ trace under either).
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from repro.errors import DecodeError, MemoryFault
 from repro.isa.encoding import decode
-from repro.isa.instructions import Instruction, Mem, WORD_MASK
-from repro.isa.opcodes import BLOCK_END_OPCODES, OPCODE_LENGTHS
-from repro.isa.registers import NUM_REGISTERS, SP
-
-#: All architectural register numbers (R0-R7, SP, BP).
-ALL_REGS = frozenset(range(NUM_REGISTERS))
-
-_EMPTY: frozenset[int] = frozenset()
-_NO_FLAGS: frozenset[str] = frozenset()
-#: FLAGS defined by arithmetic/logic results (``_set_flags_result``).
-RESULT_FLAGS = frozenset({"zf", "lt"})
-#: FLAGS defined by comparisons (``_set_flags_compare``).
-COMPARE_FLAGS = frozenset({"zf", "lt", "ult"})
-
-
-class ControlKind(enum.Enum):
-    """How an instruction affects control flow."""
-
-    #: Straight-line: execution falls through to ``next_addr``.
-    FALL = "fall"
-    #: Unconditional direct jump to ``target``.
-    JUMP = "jump"
-    #: Indirect jump through a register.
-    JUMP_REG = "jump_reg"
-    #: Conditional branch: ``target`` if taken, ``next_addr`` if not.
-    BRANCH = "branch"
-    #: Direct call to ``target`` (pushes ``next_addr``).
-    CALL = "call"
-    #: Indirect call through a register.
-    CALL_REG = "call_reg"
-    #: Return through the architectural stack.
-    RET = "ret"
-    #: Syscall: the handler may halt, exit, or rewrite the machine.
-    SYS = "sys"
-    #: Halt.
-    HALT = "halt"
+from repro.isa.instructions import Instruction, WORD_MASK
+from repro.isa.opcodes import (
+    BLOCK_END_OPCODES,
+    OPCODE_LENGTHS,
+    OPCODE_SPECS,
+    ControlKind,
+    OpcodeSpec,
+)
 
 
 class IRInst(NamedTuple):
@@ -83,26 +59,22 @@ class IRInst(NamedTuple):
     addr: int
     #: Encoded length in bytes.
     length: int
-    #: Opcode byte (fixes the encoding, as in :class:`Instruction`).
-    opcode: int
     #: The decoded instruction (operands live here).
     insn: Instruction
+    #: The opcode's table row: its semantics and code templates.
+    spec: OpcodeSpec
     #: Architectural registers read at execute time.
     reads: frozenset[int]
     #: Architectural registers written at execute time.
     writes: frozenset[int]
-    #: FLAGS defined ({"zf","lt"} for results, +"ult" for compares).
-    flags_written: frozenset[str]
-    #: FLAGS read (conditional-branch predicates).
-    flags_read: frozenset[str]
-    #: Can this instruction fault during execution (baseline machine)?
-    can_fault: bool
-    #: Control-flow classification.
-    kind: ControlKind
     #: Static transfer target (JUMP/BRANCH/CALL), else None.
     target: int | None
     #: Address of the next sequential instruction.
     next_addr: int
+
+    @property
+    def opcode(self) -> int:
+        return self.insn.opcode
 
     @property
     def operands(self) -> tuple:
@@ -110,7 +82,27 @@ class IRInst(NamedTuple):
 
     @property
     def mnemonic(self) -> str:
-        return self.insn.mnemonic
+        return self.spec.mnemonic
+
+    @property
+    def flags_written(self) -> frozenset[str]:
+        """FLAGS defined ({"zf","lt"} for results, +"ult" for compares)."""
+        return self.spec.flags_written
+
+    @property
+    def flags_read(self) -> frozenset[str]:
+        """FLAGS read (conditional-branch predicates)."""
+        return self.spec.flags_read
+
+    @property
+    def can_fault(self) -> bool:
+        """Can this instruction fault during execution (baseline machine)?"""
+        return self.spec.can_fault
+
+    @property
+    def kind(self) -> ControlKind:
+        """Control-flow classification."""
+        return self.spec.control
 
     @property
     def ends_block(self) -> bool:
@@ -118,126 +110,31 @@ class IRInst(NamedTuple):
         return self.opcode in BLOCK_END_OPCODES
 
 
-#: FLAGS each conditional-branch opcode reads (cpu dispatch predicates).
-BRANCH_FLAGS_READ: dict[int, frozenset[str]] = {
-    0x1B: frozenset({"zf"}),            # jz
-    0x1C: frozenset({"zf"}),            # jnz
-    0x1D: frozenset({"lt"}),            # jl
-    0x1E: frozenset({"lt", "zf"}),      # jg
-    0x1F: frozenset({"lt", "zf"}),      # jle
-    0x20: frozenset({"lt"}),            # jge
-    0x21: frozenset({"ult"}),           # jb
-    0x22: frozenset({"ult"}),           # jae
-}
-
-_BRANCH_OPCODES = frozenset(BRANCH_FLAGS_READ)
-
-#: Opcodes whose handlers go through checked memory access.
-MEMORY_OPCODES = frozenset({0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
-#: The subset that writes memory.
-STORE_OPCODES = frozenset({0x05, 0x07, 0x08})
-
-#: Result-flag writers: add/sub (rr+ri), mul, div, mod, and/or/xor,
-#: not, shl, shr.
-_RESULT_FLAG_OPCODES = frozenset(
-    {0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x0F, 0x10,
-     0x11, 0x12, 0x13, 0x14, 0x15, 0x16}
-)
-
-#: Execute-phase fault capability on the baseline machine: memory
-#: access, div/mod by zero, indirect-transfer CFI checks, call/ret
-#: stack traffic (+ shadow stack), syscalls, chk bounds checks.
-_CAN_FAULT = MEMORY_OPCODES | frozenset(
-    {0x0F, 0x10, 0x1A, 0x23, 0x24, 0x25, 0x26, 0x28}
-)
-
-_KIND_BY_OPCODE: dict[int, ControlKind] = {
-    0x01: ControlKind.HALT,
-    0x19: ControlKind.JUMP,
-    0x1A: ControlKind.JUMP_REG,
-    0x23: ControlKind.CALL,
-    0x24: ControlKind.CALL_REG,
-    0x25: ControlKind.RET,
-    0x26: ControlKind.SYS,
-}
-for _op in _BRANCH_OPCODES:
-    _KIND_BY_OPCODE[_op] = ControlKind.BRANCH
-
-
-def _reg_effects(opcode: int, ops: tuple) -> tuple[frozenset[int], frozenset[int]]:
-    """(reads, writes) register sets for one decoded instruction."""
-    if opcode in (0x00, 0x01, 0x29):        # nop / halt / land
-        return _EMPTY, _EMPTY
-    if opcode == 0x02:                      # mov rr
-        return frozenset({ops[1]}), frozenset({ops[0]})
-    if opcode == 0x03:                      # mov ri
-        return _EMPTY, frozenset({ops[0]})
-    if opcode in (0x04, 0x06):              # load / loadb
-        return frozenset({ops[1].base}), frozenset({ops[0]})
-    if opcode in (0x05, 0x07):              # store / storeb
-        return frozenset({ops[0], ops[1].base}), _EMPTY
-    if opcode == 0x08:                      # push
-        return frozenset({ops[0], SP}), frozenset({SP})
-    if opcode == 0x09:                      # pop
-        return frozenset({SP}), frozenset({ops[0], SP})
-    if opcode in (0x0A, 0x0C, 0x0E, 0x0F, 0x10, 0x11, 0x12, 0x13):
-        return frozenset({ops[0], ops[1]}), frozenset({ops[0]})
-    if opcode in (0x0B, 0x0D, 0x15, 0x16):  # add/sub ri, shl, shr
-        return frozenset({ops[0]}), frozenset({ops[0]})
-    if opcode == 0x14:                      # not
-        return frozenset({ops[0]}), frozenset({ops[0]})
-    if opcode == 0x17:                      # cmp rr
-        return frozenset({ops[0], ops[1]}), _EMPTY
-    if opcode == 0x18:                      # cmp ri
-        return frozenset({ops[0]}), _EMPTY
-    if opcode == 0x19:                      # jmp abs
-        return _EMPTY, _EMPTY
-    if opcode == 0x1A:                      # jmp reg
-        return frozenset({ops[0]}), _EMPTY
-    if opcode in _BRANCH_OPCODES:
-        return _EMPTY, _EMPTY
-    if opcode == 0x23:                      # call abs: pushes next_addr
-        return frozenset({SP}), frozenset({SP})
-    if opcode == 0x24:                      # call reg
-        return frozenset({ops[0], SP}), frozenset({SP})
-    if opcode == 0x25:                      # ret
-        return frozenset({SP}), frozenset({SP})
-    if opcode == 0x26:                      # sys: handlers may touch any
-        return ALL_REGS, ALL_REGS           # register (input/rand -> r0)
-    if opcode == 0x27:                      # lea
-        return frozenset({ops[1].base}), frozenset({ops[0]})
-    if opcode == 0x28:                      # chk
-        return frozenset({ops[0]}), _EMPTY
-    raise AssertionError(f"unhandled opcode 0x{opcode:02x}")  # pragma: no cover
-
-
 def lift(insn: Instruction, addr: int) -> IRInst:
     """Lift one decoded instruction at ``addr`` into an :class:`IRInst`."""
-    opcode = insn.opcode
-    length = OPCODE_LENGTHS[opcode]
+    spec = OPCODE_SPECS[insn.opcode]
     masked = addr & WORD_MASK
-    reads, writes = _reg_effects(opcode, insn.operands)
-    kind = _KIND_BY_OPCODE.get(opcode, ControlKind.FALL)
+    reads = set(spec.implicit)
+    writes = set(spec.implicit)
+    for role, operand in zip(spec.roles, insn.operands):
+        if role == "m":
+            reads.add(operand.base)
+            continue
+        if "r" in role:
+            reads.add(operand)
+        if "w" in role:
+            writes.add(operand)
     target: int | None = None
-    if kind in (ControlKind.JUMP, ControlKind.BRANCH, ControlKind.CALL):
+    if spec.control in (ControlKind.JUMP, ControlKind.BRANCH, ControlKind.CALL):
         target = insn.operands[0] & WORD_MASK
-    if opcode in _RESULT_FLAG_OPCODES:
-        flags_written = RESULT_FLAGS
-    elif opcode in (0x17, 0x18):
-        flags_written = COMPARE_FLAGS
-    else:
-        flags_written = _NO_FLAGS
+    length = OPCODE_LENGTHS[insn.opcode]
     return IRInst(
         addr=masked,
         length=length,
-        opcode=opcode,
         insn=insn,
-        reads=reads,
-        writes=writes,
-        flags_written=flags_written,
-        flags_read=BRANCH_FLAGS_READ.get(opcode, _NO_FLAGS),
-        can_fault=opcode in _CAN_FAULT,
-        kind=kind,
+        spec=spec,
+        reads=frozenset(reads),
+        writes=frozenset(writes),
         target=target,
         next_addr=(masked + length) & WORD_MASK,
     )

@@ -116,6 +116,22 @@ BLOCK_CACHE_DEFAULT = True
 TRACE_JIT_DEFAULT = True
 
 
+def dispatch_defaults(defaults: tuple[bool, bool, bool] | None = None,
+                      ) -> tuple[bool, bool, bool]:
+    """Read, and with ``defaults`` first apply, the three dispatch
+    defaults ``(DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT,
+    TRACE_JIT_DEFAULT)``.
+
+    Pool initializers call this with the tuple the parent read, so
+    worker processes -- under any start method -- build their machines
+    down the parent's dispatch path.
+    """
+    global DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT
+    if defaults is not None:
+        DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT = defaults
+    return DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT
+
+
 def _env_override(name: str) -> bool | None:
     """Tri-state environment switch: None when unset, else its truth.
 

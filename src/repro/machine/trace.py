@@ -33,6 +33,11 @@ The compiler applies four optimisations the superblock tier cannot
   fault-capable calls and the loop close materialise, so architectural
   flags are exact wherever they can be observed.
 
+The per-opcode semantics -- register effects, FLAGS, the ALU fold
+functions and result templates, branch predicates -- all come from
+:data:`~repro.isa.opcodes.OPCODE_TABLE` via the IR; the compiler's
+hand-written code is the policy above.
+
 Exactness contract (same as blocks.py, held by the differential
 suites): every exit -- guard failure, budget exhaustion, epoch bump
 after a slow store, or a machine fault -- writes back registers,
@@ -49,48 +54,13 @@ from typing import Callable, NamedTuple
 
 from repro.errors import ExecutionLimitExceeded, MachineFault
 from repro.isa.instructions import WORD_MASK
-from repro.machine.cpu import c_div, c_mod
-from repro.machine.ir import ControlKind, IRInst, lift_at
+from repro.isa.opcodes import ControlKind, c_div, c_mod
+from repro.machine.ir import IRInst, lift_at
 from repro.machine.memory import _U32
 
 _M = WORD_MASK
 _SIGN = 0x80000000
 _PAGE = 4096
-
-_ARITH_RR = {0x0A: "+", 0x0C: "-", 0x0E: "*"}
-_ARITH_RI = {0x0B: "+", 0x0D: "-"}
-_LOGIC_RR = {0x11: "&", 0x12: "|", 0x13: "^"}
-
-#: Flags each conditional branch needs, and its predicate builder.
-_COND_NEEDS = {
-    0x1B: ("zf",), 0x1C: ("zf",),
-    0x1D: ("lt",), 0x20: ("lt",),
-    0x1E: ("lt", "zf"), 0x1F: ("lt", "zf"),
-    0x21: ("ult",), 0x22: ("ult",),
-}
-
-
-def _cond_expr(op: int, zf: str, lt: str, ult: str) -> str:
-    return {
-        0x1B: f"{zf}",
-        0x1C: f"not {zf}",
-        0x1D: f"{lt}",
-        0x1E: f"not {lt} and not {zf}",
-        0x1F: f"{lt} or {zf}",
-        0x20: f"not {lt}",
-        0x21: f"{ult}",
-        0x22: f"not {ult}",
-    }[op]
-
-
-def _cond_value(op: int, zf: bool, lt: bool, ult: bool | None) -> bool:
-    return {
-        0x1B: zf, 0x1C: not zf,
-        0x1D: lt, 0x1E: not lt and not zf,
-        0x1F: lt or zf, 0x20: not lt,
-        0x21: bool(ult), 0x22: not ult,
-    }[op]
-
 
 def _signed(value: int) -> int:
     value &= _M
@@ -406,37 +376,8 @@ class _TraceCompiler:
                                      ver=regver[ops[0]], vsym=None,
                                      byte=False,
                                      temp_val=f"r{ops[0]}"))
-            elif op in _ARITH_RR or op in _LOGIC_RR or op in (0x0F, 0x10):
-                d, s = ops
-                a, b = sym[d], sym[s]
-                res = self._fold_rr(op, a, b)
-                write_reg(d, res)
-                if op in (0x0F, 0x10):
-                    write_reg(d, None)  # div/mod: never folded
-            elif op in _ARITH_RI:
-                d = ops[0]
-                imm = ops[1] & _M
-                a = sym[d]
-                if a is not None and a[0] == "c":
-                    v = ((a[1] + imm) if op == 0x0B else (a[1] - imm)) & _M
-                    write_reg(d, ("c", v))
-                elif a is not None and a[0] == "r":
-                    delta = _signed(imm) if op == 0x0B else -_signed(imm)
-                    write_reg(d, ("r", a[1], a[2] + delta))
-                else:
-                    write_reg(d, None)
-            elif op == 0x14:                        # not
-                a = sym[ops[0]]
-                write_reg(ops[0], ("c", a[1] ^ _M)
-                          if a is not None and a[0] == "c" else None)
-            elif op in (0x15, 0x16):                # shl / shr
-                a = sym[ops[0]]
-                sh = ops[1] & 31
-                if a is not None and a[0] == "c":
-                    v = ((a[1] << sh) & _M) if op == 0x15 else (a[1] >> sh)
-                    write_reg(ops[0], ("c", v))
-                else:
-                    write_reg(ops[0], None)
+            elif irx.spec.expr is not None:         # ALU
+                write_reg(ops[0], self._fold_alu(irx, sym))
             elif op in (0x17, 0x18):                # cmp: flags only
                 continue
             elif op == 0x27:                        # lea
@@ -456,31 +397,28 @@ class _TraceCompiler:
         self.has_dyn_mem = any(rec[3] is None for rec in self.access_rec)
 
     @staticmethod
-    def _fold_rr(op, a, b):
-        """Symbolic result of a register-register ALU op (or None)."""
-        if a is not None and b is not None and a[0] == "c" and b[0] == "c":
-            x, y = a[1], b[1]
-            if op == 0x0A:
-                return ("c", (x + y) & _M)
-            if op == 0x0C:
-                return ("c", (x - y) & _M)
-            if op == 0x0E:
-                return ("c", (x * y) & _M)
-            if op == 0x11:
-                return ("c", x & y)
-            if op == 0x12:
-                return ("c", x | y)
-            if op == 0x13:
-                return ("c", x ^ y)
+    def _fold_alu(irx: IRInst, sym):
+        """Symbolic result of an ALU instruction (or None).
+
+        Constant operands fold through the table's fold function
+        (fault-capable div/mod never fold); ``add``/``sub`` of a
+        constant keep a ``rel +- const`` value an address can build on.
+        """
+        spec = irx.spec
+        if spec.can_fault:
             return None
-        if op == 0x0A:                              # add: rel + const
+        a = sym.get(irx.operands[0])
+        b = spec.operand_b(irx.operands, sym.get, lambda value: ("c", value))
+        if a is not None and b is not None and a[0] == "c" and b[0] == "c":
+            return ("c", spec.fold(a[1], b[1]))
+        if spec.mnemonic == "add":                  # rel + const
             if (a is not None and a[0] == "r"
                     and b is not None and b[0] == "c"):
                 return ("r", a[1], a[2] + _signed(b[1]))
             if (b is not None and b[0] == "r"
                     and a is not None and a[0] == "c"):
                 return ("r", b[1], b[2] + _signed(a[1]))
-        if op == 0x0C:                              # sub: rel - const
+        if spec.mnemonic == "sub":                  # rel - const
             if (a is not None and a[0] == "r"
                     and b is not None and b[0] == "c"):
                 return ("r", a[1], a[2] - _signed(b[1]))
@@ -799,68 +737,28 @@ class _TraceCompiler:
                         emit(f"r{d} = _v")
                 if k in self.store_temp:
                     emit(f"_f{k} = {self.store_temp[k]}")
-            elif op in _ARITH_RR or op in _LOGIC_RR:
-                d, s = ops
-                res = self._fold_rr(op, sym.get(d), sym.get(s))
+            elif irx.spec.expr is not None:         # ALU
+                spec = irx.spec
+                d = ops[0]
+                res = self._fold_alu(irx, sym)
                 if res is not None and res[0] == "c":
                     emit(f"r{d} = {res[1]}")
                     state["pending"] = ("const", res[1] == 0,
                                         res[1] > 0x7FFFFFFF)
+                    continue
+                if spec.can_fault:
+                    # div/mod may raise DivisionFault: exact flags and
+                    # fault markers first, operands straight from the
+                    # registers.
+                    mat_main()
+                    markers(k)
+                    a, b = f"r{d}", f"r{ops[1]}"
                 else:
-                    ea, eb = reg_expr(sym, d), reg_expr(sym, s)
-                    if op in _ARITH_RR:
-                        emit(f"_t = ({ea} {_ARITH_RR[op]} {eb})"
-                             " & 4294967295")
-                    else:
-                        emit(f"_t = {ea} {_LOGIC_RR[op]} {eb}")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in _ARITH_RI:
-                d = ops[0]
-                imm = ops[1] & _M
-                a = sym.get(d)
-                if a is not None and a[0] == "c":
-                    v = ((a[1] + imm) if op == 0x0B else (a[1] - imm)) & _M
-                    emit(f"r{d} = {v}")
-                    state["pending"] = ("const", v == 0, v > 0x7FFFFFFF)
-                else:
-                    emit(f"_t = (r{d} {_ARITH_RI[op]} {imm})"
-                         " & 4294967295")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in (0x0F, 0x10):                # div / mod
-                mat_main()
-                markers(k)
-                helper = "_div" if op == 0x0F else "_mod"
-                emit(f"_t = {helper}(r{ops[0]}, r{ops[1]})")
-                emit(f"r{ops[0]} = _t")
+                    a = reg_expr(sym, d)
+                    b = spec.operand_b(ops, lambda reg: reg_expr(sym, reg))
+                emit(f"_t = {spec.expr.format(a=a, b=b)}")
+                emit(f"r{d} = _t")
                 state["pending"] = "res"
-            elif op == 0x14:                        # not
-                d = ops[0]
-                a = sym.get(d)
-                if a is not None and a[0] == "c":
-                    v = a[1] ^ _M
-                    emit(f"r{d} = {v}")
-                    state["pending"] = ("const", v == 0, v > 0x7FFFFFFF)
-                else:
-                    emit(f"_t = r{d} ^ 4294967295")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
-            elif op in (0x15, 0x16):                # shl / shr
-                d = ops[0]
-                sh = ops[1] & 31
-                a = sym.get(d)
-                if a is not None and a[0] == "c":
-                    v = ((a[1] << sh) & _M) if op == 0x15 else (a[1] >> sh)
-                    emit(f"r{d} = {v}")
-                    state["pending"] = ("const", v == 0, v > 0x7FFFFFFF)
-                else:
-                    if op == 0x15:
-                        emit(f"_t = (r{d} << {sh}) & 4294967295")
-                    else:
-                        emit(f"_t = r{d} >> {sh}")
-                    emit(f"r{d} = _t")
-                    state["pending"] = "res"
             elif op in (0x17, 0x18):                # cmp rr / cmp ri
                 if op == 0x17:
                     a, b = sym.get(ops[0]), sym.get(ops[1])
@@ -916,14 +814,14 @@ class _TraceCompiler:
                     zk, lk = pending[1], pending[2]
                 known = {"zf": zk is not None, "lt": lk is not None,
                          "ult": state["ult"] is not None}
-                if all(known[f] for f in _COND_NEEDS[op]):
-                    if _cond_value(op, bool(zk), bool(lk),
-                                   state["ult"]) != taken:
+                if all(known[f] for f in irx.flags_read):
+                    if irx.spec.predicate(bool(zk), bool(lk),
+                                          state["ult"]) != taken:
                         raise _TraceAbort("static branch contradicts "
                                           "recording")
                     continue                        # guard always holds
                 zfE, ltE, ultE = flag_exprs()
-                cond = _cond_expr(op, zfE, ltE, ultE)
+                cond = irx.spec.cond.format(zf=zfE, lt=ltE, ult=ultE)
                 emit(f"if not ({cond}):" if taken else f"if ({cond}):")
                 exit_block(4, other, f"_nb + {k + 1}",
                            current_ip=irx.addr)

@@ -297,17 +297,10 @@ class SharedVirginMap:
     @classmethod
     def attach(cls, name: str) -> "SharedVirginMap":
         """Open an existing map by name (worker side)."""
-        shm = shared_memory.SharedMemory(name=name)
-        # The master owns the segment's lifetime; stop this process's
-        # resource tracker from also unlinking it (and from warning
-        # about a "leak") at worker shutdown.
-        try:  # pragma: no cover - tracker internals vary by version
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return cls(shm, owner=False)
+        # Workers share the master's resource tracker, so the attach
+        # needs no tracker bookkeeping of its own: the master's
+        # unlink() is the one unregistration.
+        return cls(shared_memory.SharedMemory(name=name), owner=False)
 
     def publish(self, virgin: bytearray) -> None:
         """Overwrite the shared bytes with the master's map."""

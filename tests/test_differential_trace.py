@@ -85,10 +85,22 @@ def assert_identical(program: bytes, max_instructions: int = 3_000,
 
 
 def counting_loop(body, iterations=40, counter=R2):
-    """A hot loop wrapping ``body``; exits with sys(3)."""
+    """A hot loop wrapping ``body``; exits with sys(3).
+
+    A body item may also be ``("skip", branch, insn)``: the conditional
+    ``branch`` builder jumps forward over exactly ``insn``.
+    """
     head = CODE + 6
     insns = [build.mov_ri(counter, 0)]
-    insns += body
+    addr = head
+    for item in body:
+        if isinstance(item, tuple):
+            _, branch, skipped = item
+            addr += 5 + skipped.length
+            insns += [branch(addr), skipped]
+        else:
+            insns.append(item)
+            addr += item.length
     insns += [
         build.add_ri(counter, 1),
         build.cmp_ri(counter, iterations),
@@ -100,11 +112,29 @@ def counting_loop(body, iterations=40, counter=R2):
 
 # -- hypothesis fuzz ---------------------------------------------------------
 
+#: Register-register ALU ops, for the trace folder's constant and
+#: ``rel +- const`` cases as well as its residual code.
+_ALU_RR = [build.add_rr, build.sub_rr, build.mul_rr, build.and_rr,
+           build.or_rr, build.xor_rr, build.cmp_rr, build.mov_rr]
+
+_BRANCHES = [build.jz, build.jnz, build.jl, build.jg, build.jle,
+             build.jge, build.jb, build.jae]
+
+#: Straight-line instructions a forward branch may skip.
+_SKIPPABLE = st.one_of(
+    st.builds(build.add_ri, st.integers(0, 1), st.sampled_from([1, 4])),
+    st.builds(build.mov_ri, st.integers(0, 1), st.sampled_from([0, 7])),
+    st.builds(build.store, st.integers(0, 1),
+              st.builds(Mem, st.just(3), st.sampled_from([0, 4]))),
+)
+
 #: Loop bodies biased toward what the trace compiler optimises:
 #: base+offset memory traffic (r3 is seeded with a DATA pointer) and
 #: stack discipline.  Destinations stay in r0/r1 so the loop counter
 #: (r2) usually survives; when a pop clobbers r3 the body faults --
-#: fault parity is part of the contract.
+#: fault parity is part of the contract.  Every ALU form and a
+#: forward-skipping conditional branch ride along, so each arm of the
+#: trace folder and emitter is drawn.
 _BODY_INSN = st.one_of(
     st.builds(build.load, st.integers(0, 1),
               st.builds(Mem, st.just(3), st.sampled_from([0, 4, 8]))),
@@ -122,6 +152,15 @@ _BODY_INSN = st.one_of(
     st.builds(build.mov_ri, st.integers(0, 1),
               st.sampled_from([0, 7, DATA + 0x800])),
     st.builds(build.shl, st.integers(0, 1), st.integers(0, 3)),
+    st.builds(lambda make, dst, src: make(dst, src),
+              st.sampled_from(_ALU_RR), st.integers(0, 1), st.integers(0, 3)),
+    st.builds(build.sub_ri, st.integers(0, 1),
+              st.sampled_from([1, 4, 0x80000000])),
+    st.builds(build.not_r, st.integers(0, 1)),
+    st.builds(build.shr, st.integers(0, 1), st.sampled_from([0, 1, 31, 32])),
+    st.builds(build.lea, st.integers(0, 1),
+              st.builds(Mem, st.integers(0, 3), st.sampled_from([0, 4, -4]))),
+    st.tuples(st.just("skip"), st.sampled_from(_BRANCHES), _SKIPPABLE),
 )
 
 

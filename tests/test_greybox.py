@@ -18,7 +18,11 @@ Four proof obligations:
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -457,6 +461,25 @@ class TestSharedVirginMap:
         assert repeat.edges == b""
         assert repeat.crash_site is not None
         assert repeat.is_detection
+
+    def test_parallel_campaign_leaves_stderr_clean(self):
+        """A jobs=2 campaign must not disturb the resource tracker the
+        workers share with the master: unlinking the shared map at the
+        end used to print a tracker ``KeyError`` traceback."""
+        script = (
+            "from repro.analysis.greybox import GreyboxFuzzer, VictimFactory\n"
+            "from repro.mitigations.config import TESTING\n"
+            "GreyboxFuzzer(VictimFactory('fig1_staged', TESTING), seed=5,\n"
+            "              jobs=2).run(max_execs=120, minimize=False)\n"
+            "print('CAMPAIGN-OK')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "CAMPAIGN-OK" in done.stdout
+        assert "Traceback" not in done.stderr, done.stderr
 
     def test_parallel_matches_sequential_both_legs(self, block_default):
         """The shared-virgin-map + pipelined path must stay

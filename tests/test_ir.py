@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
+from repro.isa import Instruction, Mem, OPCODE_TABLE, R0, R1, R2, R3, build, encode_many
+from repro.isa.opcodes import COMPARE_FLAGS, RESULT_FLAGS, OperandFormat
 from repro.machine import Machine, MachineConfig
 from repro.machine.ir import (
-    BRANCH_FLAGS_READ,
-    COMPARE_FLAGS,
     ControlKind,
-    RESULT_FLAGS,
     lift,
     lift_at,
     lift_block,
@@ -90,9 +88,96 @@ class TestFlagEffects:
         assert lift_one(build.jz(0x2000)).flags_read == {"zf"}
         assert lift_one(build.jle(0x2000)).flags_read == {"zf", "lt"}
         assert lift_one(build.jb(0x2000)).flags_read == {"ult"}
-        # The table drives the trace compiler's lazy-flag decisions:
-        # every conditional branch opcode must appear in it.
-        assert len(BRANCH_FLAGS_READ) == 8
+        # The predicates drive the trace compiler's lazy-flag
+        # decisions: every conditional branch opcode must carry one.
+        assert sum(spec.cond is not None for spec in OPCODE_TABLE) == 8
+
+
+#: One operand tuple per encoding format: distinct registers (r1, r2,
+#: base r3) so every read/write set below names its operand's role.
+_OPERANDS = {
+    OperandFormat.NONE: (),
+    OperandFormat.REG: (R1,),
+    OperandFormat.REGREG: (R1, R2),
+    OperandFormat.REGIMM32: (R1, 5),
+    OperandFormat.REGIMM8: (R1, 3),
+    OperandFormat.REGMEM: (R1, Mem(R3, 8)),
+    OperandFormat.IMM32: (0x2000,),
+    OperandFormat.IMM8: (3,),
+}
+
+_SP = 8
+_ALL = frozenset(range(10))
+_RES = {"zf", "lt"}
+_CMP = {"zf", "lt", "ult"}
+_F, _J, _JR, _B = (ControlKind.FALL, ControlKind.JUMP, ControlKind.JUMP_REG,
+                   ControlKind.BRANCH)
+
+#: opcode -> (reads, writes, flags_written, flags_read, can_fault, kind),
+#: written out by hand for every row of OPCODE_TABLE.
+_EFFECTS = {
+    0x00: (set(), set(), set(), set(), False, _F),                # nop
+    0x01: (set(), set(), set(), set(), False, ControlKind.HALT),  # halt
+    0x02: ({R2}, {R1}, set(), set(), False, _F),                  # mov rr
+    0x03: (set(), {R1}, set(), set(), False, _F),                 # mov ri
+    0x04: ({R3}, {R1}, set(), set(), True, _F),                   # load
+    0x05: ({R1, R3}, set(), set(), set(), True, _F),              # store
+    0x06: ({R3}, {R1}, set(), set(), True, _F),                   # loadb
+    0x07: ({R1, R3}, set(), set(), set(), True, _F),              # storeb
+    0x08: ({R1, _SP}, {_SP}, set(), set(), True, _F),             # push
+    0x09: ({_SP}, {R1, _SP}, set(), set(), True, _F),             # pop
+    0x0A: ({R1, R2}, {R1}, _RES, set(), False, _F),               # add rr
+    0x0B: ({R1}, {R1}, _RES, set(), False, _F),                   # add ri
+    0x0C: ({R1, R2}, {R1}, _RES, set(), False, _F),               # sub rr
+    0x0D: ({R1}, {R1}, _RES, set(), False, _F),                   # sub ri
+    0x0E: ({R1, R2}, {R1}, _RES, set(), False, _F),               # mul
+    0x0F: ({R1, R2}, {R1}, _RES, set(), True, _F),                # div
+    0x10: ({R1, R2}, {R1}, _RES, set(), True, _F),                # mod
+    0x11: ({R1, R2}, {R1}, _RES, set(), False, _F),               # and
+    0x12: ({R1, R2}, {R1}, _RES, set(), False, _F),               # or
+    0x13: ({R1, R2}, {R1}, _RES, set(), False, _F),               # xor
+    0x14: ({R1}, {R1}, _RES, set(), False, _F),                   # not
+    0x15: ({R1}, {R1}, _RES, set(), False, _F),                   # shl
+    0x16: ({R1}, {R1}, _RES, set(), False, _F),                   # shr
+    0x17: ({R1, R2}, set(), _CMP, set(), False, _F),              # cmp rr
+    0x18: ({R1}, set(), _CMP, set(), False, _F),                  # cmp ri
+    0x19: (set(), set(), set(), set(), False, _J),                # jmp abs
+    0x1A: ({R1}, set(), set(), set(), True, _JR),                 # jmp reg
+    0x1B: (set(), set(), set(), {"zf"}, False, _B),               # jz
+    0x1C: (set(), set(), set(), {"zf"}, False, _B),               # jnz
+    0x1D: (set(), set(), set(), {"lt"}, False, _B),               # jl
+    0x1E: (set(), set(), set(), {"lt", "zf"}, False, _B),         # jg
+    0x1F: (set(), set(), set(), {"lt", "zf"}, False, _B),         # jle
+    0x20: (set(), set(), set(), {"lt"}, False, _B),               # jge
+    0x21: (set(), set(), set(), {"ult"}, False, _B),              # jb
+    0x22: (set(), set(), set(), {"ult"}, False, _B),              # jae
+    0x23: ({_SP}, {_SP}, set(), set(), True, ControlKind.CALL),   # call abs
+    0x24: ({R1, _SP}, {_SP}, set(), set(), True,
+           ControlKind.CALL_REG),                                 # call reg
+    0x25: ({_SP}, {_SP}, set(), set(), True, ControlKind.RET),    # ret
+    0x26: (_ALL, _ALL, set(), set(), True, ControlKind.SYS),      # sys
+    0x27: ({R3}, {R1}, set(), set(), False, _F),                  # lea
+    0x28: ({R1}, set(), set(), set(), True, _F),                  # chk
+    0x29: (set(), set(), set(), set(), False, _F),                # land
+}
+
+
+class TestEveryOpcode:
+    def test_table_is_fully_pinned(self):
+        assert sorted(_EFFECTS) == [spec.opcode for spec in OPCODE_TABLE]
+
+    @pytest.mark.parametrize(
+        "spec", OPCODE_TABLE, ids=lambda s: f"{s.mnemonic}_{s.opcode:02x}")
+    def test_effects(self, spec):
+        irx = lift_one(Instruction(spec.opcode, _OPERANDS[spec.fmt]))
+        reads, writes, flags_written, flags_read, can_fault, kind = (
+            _EFFECTS[spec.opcode])
+        assert irx.reads == reads
+        assert irx.writes == writes
+        assert irx.flags_written == flags_written
+        assert irx.flags_read == flags_read
+        assert irx.can_fault is can_fault
+        assert irx.kind is kind
 
 
 class TestControlKinds:

@@ -284,3 +284,9 @@ class TestNearValidToolchainRobustness:
         for source in cases_asm:
             with pytest.raises(ReproError):
                 assemble(source, "fuzz")
+        # Leading-zero decimals (ValueError from int("010", 0)) read
+        # as decimal in displacements and symbol offsets, as they do
+        # in plain immediates.
+        for source in (".text\n load r0, [r1+010]",
+                       ".text\nx: mov r0, x+010"):
+            assemble(source, "fuzz")

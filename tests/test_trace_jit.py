@@ -233,3 +233,43 @@ class TestBudgetExactness:
         stepped = self.exhaust(budget, block_cache=False)
         assert traced == stepped
         assert traced[0] == budget
+
+
+class TestPoolWorkersInheritDefaults:
+    """Pool initializers must apply all three dispatch defaults: under
+    the ``spawn``/``forkserver`` start methods a worker re-imports the
+    machine module, so a default the parent flipped survives only if
+    it is forwarded."""
+
+    @pytest.fixture
+    def trace_on_everywhere(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        for name in ("DECODE_CACHE_DEFAULT", "BLOCK_CACHE_DEFAULT",
+                     "TRACE_JIT_DEFAULT"):
+            monkeypatch.setattr(machine_module, name, True)
+
+    def test_campaign_worker_init(self, trace_on_everywhere, monkeypatch):
+        from repro.campaign import runner
+
+        seen = []
+
+        def factory():
+            seen.append(MachineConfig().trace_jit)
+            return Machine(MachineConfig())
+
+        monkeypatch.setattr(runner, "_WORKER_SESSION", None)
+        runner._worker_init(factory, lambda target, index: None,
+                            (True, True, False))
+        assert seen == [False]
+        assert MachineConfig().trace_jit is False
+
+    def test_matrix_cell(self, trace_on_everywhere):
+        from repro.experiments.matrix import _run_cell
+
+        def attack(preset, seed):
+            return MachineConfig().trace_jit
+
+        cell = _run_cell((attack, "probe", "none", None, 0,
+                          (True, True, False), False))
+        assert cell.result is False
+        assert MachineConfig().trace_jit is False
