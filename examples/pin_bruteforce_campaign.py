@@ -44,8 +44,8 @@ def main() -> None:
           f"(~{session.restored_pages / (index + 1):.1f} per restore)")
 
     print("\n=== the same campaign, timed warm vs cold ===")
-    runner = CampaignRunner(SecretFactory(), trial=PinGuessTrial(1200))
-    warm = runner.run(64)
+    with CampaignRunner(SecretFactory(), trial=PinGuessTrial(1200)) as runner:
+        warm = runner.submit_items(range(64)).result()
     cold = runner.run_cold(64)
     speedup = warm.trials_per_second / cold.trials_per_second
     print(f"  snapshot restore  : {warm.trials_per_second:,.0f} trials/s")

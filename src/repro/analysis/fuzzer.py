@@ -10,9 +10,11 @@ ASan-style red zones turn every such access into an immediate fault.
 generated inputs whose memory-safety violation is *detected*, for a
 plain build vs an instrumented build of the same program.  It is the
 *blind* baseline the coverage-guided loop in
-:mod:`repro.analysis.greybox` is compared against; both share the same
-:class:`~repro.analysis.greybox.SnapshotExecutor` fork-server, so the
-comparison isolates the search strategy, not the harness.
+:mod:`repro.analysis.greybox` is compared against.  It runs inputs
+through the :class:`~repro.analysis.greybox.SnapshotExecutor`
+fork-server (build once, restore per input), the same execution model
+as the greybox loop's campaign runner, so the comparison isolates the
+search strategy, not the harness.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ modern strength: an AFL-style greybox loop that
   branch/jump/call/ret into a fixed-size bitmap -- no guest
   instrumentation, and the observed run stays byte-identical to an
   unobserved one);
-* executes every input through the PR 4 **snapshot fork-server**
-  (:class:`SnapshotExecutor`: build the victim once, copy-on-write
-  restore per input) instead of re-running the compile + link + load
-  pipeline, and can fan mutation batches out over
-  :class:`~repro.campaign.CampaignRunner` workers (``jobs > 1``);
+* executes every mutation batch through the **snapshot fork-server**
+  (:meth:`CampaignRunner.submit_items
+  <repro.campaign.CampaignRunner.submit_items>`: build the victim
+  once, copy-on-write restore per input) instead of re-running the
+  compile + link + load pipeline -- in the master's warm session at
+  ``jobs=1``, fanned out over pool workers at ``jobs > 1``;
 * maintains a **corpus queue** seeded-RNG mutation engine:
   deterministic stages (length extensions, then a walking byte cycle
   that solves single-byte comparisons such as a ``"GET"`` method
@@ -161,13 +162,14 @@ def _invariant_monitor(machine) -> InvariantMonitor | None:
 class SnapshotExecutor:
     """Warm fork-server execution: build once, CoW-restore per input.
 
-    The one executor both fuzzers share (satisfying the paper's
-    experiment shape *and* the performance budget): the legacy blind
-    :func:`repro.analysis.fuzzer.fuzz_campaign` runs it unobserved
-    while the greybox loop attaches a :class:`CoverageObserver` --
-    which is dispatch-transparent, so both legs run superblock
-    dispatch with warm block caches across restores; the observed leg
-    merely pays the baked-in event emission at block terminators.
+    A single-input executor for callers that drive inputs one at a
+    time: the blind :func:`repro.analysis.fuzzer.fuzz_campaign` runs
+    it unobserved, and crash replays attach a
+    :class:`CoverageObserver` (dispatch-transparent, so both run
+    superblock dispatch with warm block caches across restores).  The
+    greybox loop does not use it: its batches go through
+    :class:`~repro.campaign.CampaignRunner` with
+    :class:`InstrumentedFactory` and :class:`CoverageTrial`.
     """
 
     def __init__(
@@ -300,8 +302,7 @@ class CoverageTrial:
 
     Used with :class:`InstrumentedFactory` under a
     :class:`~repro.campaign.CampaignRunner` -- the session restores
-    the snapshot, this callable does the rest of
-    :meth:`SnapshotExecutor.run`.
+    the snapshot, this callable feeds, runs and digests.
 
     ``virgin_map`` names the master's :class:`SharedVirginMap`.  When
     set, each worker keeps a private overlay of it -- refreshed from
@@ -512,11 +513,12 @@ class GreyboxReport:
 class GreyboxFuzzer:
     """AFL-style coverage-guided fuzzing of one victim build.
 
-    ``factory`` builds the target (picklable for ``jobs > 1``); the
-    fuzzer owns a warm :class:`SnapshotExecutor` (sequential path and
-    crash minimization) and, with ``jobs``, a persistent
-    :class:`~repro.campaign.CampaignRunner` pool whose workers each
-    hold their own warm instrumented snapshot.
+    ``factory`` builds the target (picklable for ``jobs > 1``).  The
+    fuzzer owns one sequential :class:`~repro.campaign.CampaignRunner`
+    whose warm session runs ``jobs=1`` batches and crash
+    minimization; with ``jobs > 1`` each :meth:`run` adds a pooled
+    runner whose workers each hold their own warm instrumented
+    snapshot and share the campaign's virgin map.
     """
 
     #: Mutants per havoc batch (also the parallel fan-out unit).
@@ -554,8 +556,10 @@ class GreyboxFuzzer:
         #: RSNP wire bytes of the baseline image to fuzz (service
         #: resumes); None baselines whatever ``factory`` builds.
         self.snapshot_bytes = snapshot_bytes
-        self._executor: SnapshotExecutor | None = None
-        self._observer: CoverageObserver | None = None
+        #: The master's sequential runner.  Its warm session runs every
+        #: ``jobs=1`` batch, serves :meth:`baseline_snapshot_bytes` and
+        #: replays crashers during minimization -- one victim build.
+        self._local = self._runner()
         # Campaign state (reset per run()).
         self.queue: list[QueueEntry] = []
         self._virgin = bytearray(MAP_SIZE)
@@ -565,53 +569,23 @@ class GreyboxFuzzer:
 
     # -- execution plumbing --------------------------------------------------
 
-    def _local_executor(self) -> SnapshotExecutor:
-        if self._executor is None:
-            self._observer = CoverageObserver()
-            self._executor = SnapshotExecutor(
-                self.factory, observer=self._observer,
-                invariants=self.invariants,
-                max_instructions=self.max_instructions,
-                baseline_bytes=self.snapshot_bytes,
-            )
-        return self._executor
+    def _runner(self, jobs: int | None = None,
+                virgin_map: str | None = None) -> CampaignRunner:
+        """A runner over the instrumented victim; ``virgin_map`` names
+        the shared virgin map its pool workers filter through."""
+        return CampaignRunner(
+            InstrumentedFactory(self.factory, invariants=self.invariants,
+                                baseline_bytes=self.snapshot_bytes),
+            trial=CoverageTrial(self.max_instructions, virgin_map=virgin_map),
+            jobs=jobs,
+            chunksize=max(1, self.batch_size // max(1, jobs or 1)),
+        )
 
     def baseline_snapshot_bytes(self) -> bytes:
         """RSNP wire bytes of the warm baseline image.  The campaign
         service persists these at campaign start so a resume fuzzes
         the *stored* machine image, not a rebuild's."""
-        return self._local_executor().baseline.to_bytes()
-
-    def _execute(self, batch: list[bytes], runner) -> list[ExecOutcome]:
-        if runner is not None:
-            return runner.run_items(batch).verdicts
-        executor = self._local_executor()
-        outcomes = []
-        for data in batch:
-            result = executor.run(data)
-            outcomes.append(
-                outcome_of(self._observer, result, executor.monitor))
-        return outcomes
-
-    def _submit(self, batch: list[bytes], runner):
-        """Dispatch ``batch`` without waiting (the pipelined path).
-
-        With a runner the items go to :meth:`CampaignRunner.submit_items`
-        (workers start immediately when a pool is live); without one
-        the batch itself is the pending token and execution happens in
-        :meth:`_resolve` -- either way the exec stream order is
-        identical to a submit-then-wait loop.
-        """
-        if not batch:
-            return None
-        if runner is not None:
-            return runner.submit_items(batch)
-        return batch
-
-    def _resolve(self, pending) -> list[ExecOutcome]:
-        if isinstance(pending, list):
-            return self._execute(pending, None)
-        return pending.result().verdicts
+        return self._local.session().baseline.to_bytes()
 
     # -- mutation stages -----------------------------------------------------
 
@@ -841,18 +815,14 @@ class GreyboxFuzzer:
         if resume is not None:
             resumed_pending = self._restore_state(resume, report, crashes)
 
-        runner = None
+        runner = self._local
         shared = None
         if self.jobs and self.jobs > 1:
+            # The pool's workers filter coverage through the shared
+            # virgin map; the master's own session never attaches it.
             shared = SharedVirginMap.create()
-            runner = CampaignRunner(
-                InstrumentedFactory(self.factory, invariants=self.invariants,
-                                    baseline_bytes=self.snapshot_bytes),
-                trial=CoverageTrial(self.max_instructions,
-                                    virgin_map=shared.name),
-                jobs=self.jobs,
-                chunksize=max(1, self.batch_size // max(1, self.jobs)),
-            ).__enter__()
+            runner = self._runner(self.jobs, shared.name).__enter__()
+        pages = 0
         batches_done = 0
         interrupted = False
         try:
@@ -861,8 +831,9 @@ class GreyboxFuzzer:
                 # the queue, and the deterministic stages everything
                 # else pipelines behind are derived from it.
                 seed_batch = list(dict.fromkeys(self.seeds))[:max_execs]
-                for data, outcome in zip(seed_batch,
-                                         self._execute(seed_batch, runner)):
+                seeded = runner.submit_items(seed_batch).result()
+                pages += seeded.restored_pages
+                for data, outcome in zip(seed_batch, seeded.verdicts):
                     report.execs += 1
                     self._integrate(
                         data, outcome, report.execs,
@@ -880,7 +851,7 @@ class GreyboxFuzzer:
                 current = resumed_pending[:max(0, max_execs - report.execs)]
             if shared is not None:
                 shared.publish(self._virgin)
-            pending = self._submit(current, runner)
+            pending = runner.submit_items(current)
             if checkpoint is not None:
                 checkpoint(self._campaign_state(report, crashes, current))
             while current:
@@ -888,8 +859,10 @@ class GreyboxFuzzer:
                 # the current one (the lag that buys the overlap).
                 budget = max_execs - report.execs - len(current)
                 upcoming = self._next_batch()[:budget] if budget > 0 else []
-                next_pending = self._submit(upcoming, runner)
-                for data, outcome in zip(current, self._resolve(pending)):
+                next_pending = runner.submit_items(upcoming)
+                done = pending.result()
+                pages += done.restored_pages
+                for data, outcome in zip(current, done.verdicts):
                     report.execs += 1
                     self._integrate(
                         data, outcome, report.execs,
@@ -898,9 +871,7 @@ class GreyboxFuzzer:
                 if shared is not None:
                     shared.publish(self._virgin)
                 if stop_on_first_crash and report.first_detected_exec:
-                    if next_pending is not None and not isinstance(
-                            next_pending, list):
-                        next_pending.cancel()
+                    next_pending.cancel()
                     break
                 if checkpoint is not None:
                     checkpoint(
@@ -909,31 +880,26 @@ class GreyboxFuzzer:
                 if (stop_after_batches is not None
                         and batches_done >= stop_after_batches
                         and upcoming):
-                    if next_pending is not None and not isinstance(
-                            next_pending, list):
-                        next_pending.cancel()
+                    next_pending.cancel()
                     interrupted = True
                     break
                 current, pending = upcoming, next_pending
         finally:
-            if runner is not None:
+            if runner is not self._local:
                 runner.close()
             if shared is not None:
                 shared.close()
 
         if minimize and crashes and not interrupted:
-            executor = self._local_executor()
-
-            def run_outcome(data: bytes) -> ExecOutcome:
-                return outcome_of(self._observer, executor.run(data),
-                                  executor.monitor)
-
+            session = self._local.session()
+            before = session.restored_pages
             for record in crashes.values():
                 record.minimized, used = minimize_input(
-                    run_outcome, record.input, record.site,
+                    session.run_trial, record.input, record.site,
                     budget=minimize_budget,
                 )
                 report.minimization_execs += used
+            pages += session.restored_pages - before
 
         report.interrupted = interrupted
         report.duration_seconds = perf_counter() - started
@@ -943,6 +909,5 @@ class GreyboxFuzzer:
         report.crashes = sorted(
             crashes.values(), key=lambda record: record.found_at_exec
         )
-        if self._executor is not None:
-            report.restored_pages = self._executor.restored_pages
+        report.restored_pages = pages
         return report

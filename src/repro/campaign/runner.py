@@ -2,49 +2,52 @@
 
 The paper's two attacker models are *measured* through repeated trial
 campaigns -- an ASLR entropy sweep, a PIN brute force against Figure
-2's ``tries_left`` module, the attack x countermeasure matrix.  Before
-this module every trial paid the full compile + link + load + cold
-start cost.  A :class:`CampaignRunner` instead does what AFL-class
-fuzzers call a fork server: build the victim *once*, take one
-copy-on-write :meth:`~repro.machine.machine.Machine.snapshot`, then
-per trial restore (O(dirty pages)), mutate the input, run, and extract
-a verdict.  The PR 3 superblock cache stays warm across restores, so
-trial N+1 starts with trial N's hot code.
+2's ``tries_left`` module, the attack x countermeasure matrix, the
+greybox fuzzer's mutation batches.  Rebuilding the victim per trial
+pays the full compile + link + load + cold start cost every time.  A
+:class:`CampaignRunner` instead does what AFL-class fuzzers call a
+fork server: build the victim *once*, take one copy-on-write
+:meth:`~repro.machine.machine.Machine.snapshot`, then per trial
+restore (O(dirty pages)), mutate the input, run, and extract a
+verdict.  The superblock cache stays warm across restores, so trial
+N+1 starts with trial N's hot code.
 
 Three picklable callables describe a campaign:
 
 * ``factory()`` builds the warm target -- a
   :class:`~repro.link.loader.LoadedProgram` or a bare
   :class:`~repro.machine.machine.Machine`;
-* ``mutator(target, index)`` injects trial ``index``'s input (stdin
+* ``mutator(target, item)`` injects trial ``item``'s input (stdin
   bytes, a PIN guess, a payload);
-* ``verdict(target, result, index)`` reduces the finished
+* ``verdict(target, result, item)`` reduces the finished
   :class:`~repro.machine.machine.RunResult` to whatever the campaign
   records (must pickle for the parallel path).
 
 For trials that need mid-run interaction (a leak read back before the
-smash payload goes in), pass a single ``trial(target, index)``
+smash payload goes in), pass a single ``trial(target, item)``
 callable instead; the runner still owns the restore.
 
-With ``jobs > 1`` trials fan out over a ``ProcessPoolExecutor``, one
-warm snapshot per worker (the e4 matrix plumbing): the initializer
-builds the target and snapshot once per process, and index batches
-stream through it.  Results are index-ordered and identical to the
-sequential path -- every trial derives its randomness from its index,
-never from scheduling.  Like the matrix, the pool is skipped while
-``observe_new_machines`` factories are active (observers cannot cross
-process boundaries).
+Every batch runs through one call, :meth:`CampaignRunner.submit_items`:
+``runner.submit_items(range(n)).result()`` runs ``n`` indexed trials.
+Outside a pool the batch runs lazily, at ``.result()``, in one cached
+warm session (:meth:`CampaignRunner.session`).  Inside ``with runner:``
+and ``jobs > 1`` the batch fans out over a persistent
+``ProcessPoolExecutor``, one warm snapshot per worker.  Verdicts come
+back in item order and are identical either way -- every trial
+derives its randomness from its item, never from scheduling.  Like
+the E4 matrix, the pool is skipped (with a ``RuntimeWarning``) while
+``observe_new_machines`` factories are active, because observers
+cannot cross process boundaries.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
-from repro.machine.machine import dispatch_defaults
+from repro.machine.machine import dispatch_defaults, pool_allowed
 
 
 def _machine_of(target):
@@ -83,11 +86,11 @@ class CampaignSession:
         #: Total dirty pages rewound across all restores (reset cost).
         self.restored_pages = 0
 
-    def run_trial(self, index: int):
+    def run_trial(self, item):
         self.restored_pages += self.machine.restore(self.baseline)
-        return self.trial(self.target, index)
+        return self.trial(self.target, item)
 
-    def run_batch(self, indices) -> list:
+    def run_batch(self, items) -> list:
         begin = getattr(self.trial, "begin_batch", None)
         if begin is not None:
             # Per-batch trial hook: the greybox fuzzer's CoverageTrial
@@ -95,7 +98,13 @@ class CampaignSession:
             # batch instead of once per trial.
             begin(self.target)
         run_trial = self.run_trial
-        return [run_trial(index) for index in indices]
+        return [run_trial(item) for item in items]
+
+    def run_counted(self, items) -> tuple[list, int]:
+        """:meth:`run_batch` plus the dirty pages it rewound."""
+        before = self.restored_pages
+        verdicts = self.run_batch(items)
+        return verdicts, self.restored_pages - before
 
 
 #: Per-worker-process warm session (parallel path), set by _worker_init.
@@ -114,31 +123,20 @@ def _worker_init(factory, trial, defaults) -> None:
     _WORKER_SESSION = CampaignSession(factory, trial)
 
 
-def _worker_batch(indices) -> tuple[list, int]:
-    session = _WORKER_SESSION
-    before = session.restored_pages
-    verdicts = session.run_batch(indices)
-    return verdicts, session.restored_pages - before
-
-
 def _worker_items(items) -> tuple[list, int]:
-    """Like :func:`_worker_batch`, but over explicit trial items (the
-    greybox fuzzer ships mutated inputs instead of index ranges)."""
-    session = _WORKER_SESSION
-    before = session.restored_pages
-    verdicts = session.run_batch(items)
-    return verdicts, session.restored_pages - before
+    return _WORKER_SESSION.run_counted(items)
 
 
 class PendingItems:
-    """In-flight work handed out by :meth:`CampaignRunner.submit_items`.
+    """One batch handed out by :meth:`CampaignRunner.submit_items`.
 
     On the pooled path the items are already executing when this
     object exists; :meth:`result` just collects the chunk futures.  On
     the sequential path execution is *lazy* -- it happens inside
-    :meth:`result` -- so a pipelined client (submit batch N+1, then
-    integrate batch N) observes the exact same execution order a plain
-    ``run_items`` loop would, and the two paths stay verdict-identical.
+    :meth:`result`, in the runner's warm :meth:`~CampaignRunner.session`
+    -- so a pipelined client (submit batch N+1, then integrate batch
+    N) runs its batches in the same order on both paths, and the two
+    stay verdict-identical.
     """
 
     def __init__(self, runner: "CampaignRunner", items: list,
@@ -150,42 +148,40 @@ class PendingItems:
         self._started = started
         self._result: CampaignResult | None = None
 
-    def result(self) -> "CampaignResult":
+    def result(self) -> CampaignResult:
         """Block until every item has run; verdicts in item order."""
         if self._result is None:
-            if self._futures is None:
-                self._result = self._runner._run_items_now(
-                    self._items, self._started)
-            else:
+            if self._futures is not None:
                 batches = [future.result() for future in self._futures]
-                verdicts = [v for batch, _ in batches for v in batch]
-                pages = sum(pages for _, pages in batches)
-                self._result = CampaignResult(
-                    verdicts, len(self._items), self._workers,
-                    perf_counter() - self._started, pages,
-                )
-            self._runner._settle(self)
+            elif self._items:
+                batches = [self._runner.session().run_counted(self._items)]
+            else:
+                batches = []
+            self._finish(batches)
         return self._result
 
     def cancel(self) -> None:
         """Best-effort cancel of chunks not yet started (an abandoned
         pipelined batch after ``stop_on_first_crash``).  Chunks already
         running finish and are discarded."""
-        if self._futures is not None:
-            for future in self._futures:
-                future.cancel()
-            self._futures = [f for f in self._futures if not f.cancelled()]
-        else:
-            self._items = []
+        for future in self._futures or ():
+            future.cancel()
         if self._result is None:
-            self._result = CampaignResult(
-                [], 0, 0, perf_counter() - self._started, 0)
+            self._finish([])
+
+    def _finish(self, batches: list[tuple[list, int]]) -> None:
+        verdicts = [v for batch, _ in batches for v in batch]
+        self._result = CampaignResult(
+            verdicts, len(verdicts), self._workers if verdicts else 0,
+            perf_counter() - self._started,
+            sum(pages for _, pages in batches),
+        )
         self._runner._settle(self)
 
 
 @dataclass
 class CampaignResult:
-    """Outcome of one :meth:`CampaignRunner.run` call."""
+    """Outcome of one batch (:meth:`PendingItems.result`)."""
 
     verdicts: list
     trials: int
@@ -226,52 +222,36 @@ class CampaignRunner:
             trial = ComposedTrial(mutator, verdict, max_instructions)
         self.factory = factory
         self.trial = trial
+        #: Worker processes for batches submitted inside ``with
+        #: runner:``; None or 1 runs every batch in :meth:`session`.
         self.jobs = jobs
         #: Items per submitted work unit on the parallel path.  None
         #: means one contiguous chunk per worker (minimal dispatch
         #: overhead); smaller chunks let a pipelined client overlap a
         #: finishing batch's tail with the next batch's head.
         self.chunksize = chunksize
-        #: Persistent worker pool (entered via ``with runner:``); None
-        #: means every ``run``/``run_items`` call builds its own.
+        #: Persistent worker pool (started by ``with runner:``); None
+        #: means batches run in the sequential warm session.
         self._pool: ProcessPoolExecutor | None = None
         self._pool_workers = 0
-        #: Cached warm session for sequential ``run_items`` streams
-        #: (the greybox fuzzer calls it once per mutation batch).
         self._session: CampaignSession | None = None
         #: In-flight ``submit_items`` handles not yet resolved or
         #: cancelled; ``close()`` settles them deterministically.
         self._pending: list[PendingItems] = []
 
-    # -- persistent warm pool (batch-streaming clients) ----------------------
+    # -- lifecycle -----------------------------------------------------------
 
     def __enter__(self) -> "CampaignRunner":
-        """Start a persistent worker pool: targets are built and
-        snapshotted once per worker and then reused across every
-        ``run``/``run_items`` call inside the ``with`` block --
-        batch-streaming clients (the greybox fuzzer) would otherwise
-        pay a full per-worker rebuild on every batch."""
-        import repro.machine.machine as machine_module
-
-        jobs = self.jobs or 1
-        if jobs > 1:
-            if machine_module._DEFAULT_OBSERVER_FACTORIES:
-                warnings.warn(
-                    f"CampaignRunner(jobs={jobs}) is running sequentially: "
-                    "observe_new_machines() default observer factories are "
-                    "active, and observers cannot cross worker process "
-                    "boundaries",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                self._pool_workers = jobs
-                self._pool = ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_worker_init,
-                    initargs=(self.factory, self.trial,
-                              dispatch_defaults()),
-                )
+        """Start the persistent worker pool (``jobs > 1``): targets are
+        built and snapshotted once per worker and then reused by every
+        :meth:`submit_items` batch until :meth:`close`."""
+        if pool_allowed(self.jobs, "CampaignRunner"):
+            self._pool_workers = self.jobs
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_worker_init,
+                initargs=(self.factory, self.trial, dispatch_defaults()),
+            )
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -307,130 +287,55 @@ class CampaignRunner:
         # alive for its own lifetime.
         self._session = None
 
-    def _chunks(self, trials: int, workers: int) -> list[range]:
-        """Contiguous index ranges, one per worker (locality + order)."""
-        base, extra = divmod(trials, workers)
-        chunks, start = [], 0
-        for worker in range(workers):
-            count = base + (1 if worker < extra else 0)
-            if count:
-                chunks.append(range(start, start + count))
-                start += count
-        return chunks
+    # -- the batch primitive -------------------------------------------------
 
-    def run(self, trials: int) -> CampaignResult:
-        """Execute ``trials`` snapshot/restore trials (index order)."""
-        import repro.machine.machine as machine_module
-
-        jobs = self.jobs or 1
-        started = perf_counter()
-        sequential = (
-            jobs <= 1 or trials <= 1
-            or machine_module._DEFAULT_OBSERVER_FACTORIES
-        ) and self._pool is None
-        if sequential:
-            session = CampaignSession(self.factory, self.trial)
-            verdicts = session.run_batch(range(trials))
-            return CampaignResult(
-                verdicts, trials, 1, perf_counter() - started,
-                session.restored_pages,
-            )
-        chunks = self._chunks(trials, min(jobs, trials))
-        batches, workers = self._map_chunks(_worker_batch, chunks)
-        verdicts = [v for batch, _ in batches for v in batch]
-        pages = sum(pages for _, pages in batches)
-        return CampaignResult(
-            verdicts, trials, workers, perf_counter() - started, pages,
-        )
-
-    def run_items(self, items) -> CampaignResult:
-        """Run one trial per explicit ``item`` (instead of an index).
-
-        The trial callable receives each item where :meth:`run` would
-        pass an index -- the greybox fuzzer ships batches of mutated
-        inputs this way.  Results come back in item order and are
-        identical to the sequential path (each trial starts from the
-        same restored snapshot and sees only its own item).  Inside a
-        ``with runner:`` block the warm worker pool (or the warm
-        sequential session) is reused across calls.
-        """
-        return self.submit_items(items).result()
+    def session(self) -> CampaignSession:
+        """The warm sequential session, built on first use and kept
+        until :meth:`close`.  It runs every batch submitted outside a
+        pool; clients may also run single trials against it
+        (``session().run_trial(item)``)."""
+        if self._session is None:
+            self._session = CampaignSession(self.factory, self.trial)
+        return self._session
 
     def submit_items(self, items) -> PendingItems:
-        """Dispatch ``items`` without waiting for their verdicts.
+        """Dispatch one batch: one trial per item, in item order.
 
-        Inside a ``with runner:`` block the items start executing on
-        the persistent pool immediately, split into
-        :attr:`chunksize`-item work units, and the returned
-        :class:`PendingItems` collects them later -- a pipelined
-        client generates its next mutation batch while this one runs.
-        Outside a pool the work is deferred to ``.result()`` (the
-        sequential warm session or a per-call pool), preserving
-        run_items semantics exactly.
+        The trial callable receives each item (an index for
+        ``range(n)``, a mutated input for the greybox fuzzer).  Inside
+        a live pool the items start executing immediately, split into
+        work units by :meth:`_chunks`, and the returned
+        :class:`PendingItems` collects them later -- a pipelined client
+        generates its next batch while this one runs.  Otherwise the
+        batch runs at ``.result()`` in :meth:`session`.
         """
         items = list(items)
         started = perf_counter()
-        if not items or self._pool is None:
-            handle = PendingItems(self, items, None, 0, started)
-        else:
+        futures = None
+        workers = 1
+        if self._pool is not None and items:
             workers = min(self._pool_workers, len(items))
-            if self.chunksize is not None:
-                size = max(1, self.chunksize)
-                chunks = [items[pos:pos + size]
-                          for pos in range(0, len(items), size)]
-            else:
-                chunks = [[items[i] for i in chunk]
-                          for chunk in self._chunks(len(items), workers)]
             futures = [self._pool.submit(_worker_items, chunk)
-                       for chunk in chunks]
-            handle = PendingItems(self, items, futures, workers, started)
-        self._pending.append(handle)
+                       for chunk in self._chunks(items, workers)]
+        handle = PendingItems(self, items, futures, workers, started)
+        if items:
+            self._pending.append(handle)
         return handle
 
-    def _run_items_now(self, items: list, started: float) -> CampaignResult:
-        """Synchronous item execution (the non-pooled legs)."""
-        import repro.machine.machine as machine_module
-
-        jobs = self.jobs or 1
-        if not items:
-            return CampaignResult([], 0, 0, perf_counter() - started, 0)
-        sequential = (
-            jobs <= 1 or len(items) <= 1
-            or machine_module._DEFAULT_OBSERVER_FACTORIES
-        ) and self._pool is None
-        if sequential:
-            if self._session is None:
-                self._session = CampaignSession(self.factory, self.trial)
-            session = self._session
-            before = session.restored_pages
-            verdicts = session.run_batch(items)
-            return CampaignResult(
-                verdicts, len(items), 1, perf_counter() - started,
-                session.restored_pages - before,
-            )
-        workers = min(jobs, len(items))
-        chunk_ranges = self._chunks(len(items), workers)
-        chunks = [[items[i] for i in chunk] for chunk in chunk_ranges]
-        batches, workers = self._map_chunks(_worker_items, chunks)
-        verdicts = [v for batch, _ in batches for v in batch]
-        pages = sum(pages for _, pages in batches)
-        return CampaignResult(
-            verdicts, len(items), workers, perf_counter() - started, pages,
-        )
-
-    def _map_chunks(self, worker_fn, chunks):
-        """Map ``worker_fn`` over ``chunks``, reusing the persistent
-        pool when one is active (``with runner:``)."""
-        if self._pool is not None:
-            return (list(self._pool.map(worker_fn, chunks)),
-                    self._pool_workers)
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=_worker_init,
-            initargs=(self.factory, self.trial, dispatch_defaults()),
-        ) as pool:
-            batches = list(pool.map(worker_fn, chunks))
-        return batches, len(chunks)
+    def _chunks(self, items: list, workers: int) -> list[list]:
+        """Pool work units: :attr:`chunksize`-item slices, or one
+        contiguous, balanced slice per worker (locality + order)."""
+        if self.chunksize is not None:
+            size = max(1, self.chunksize)
+            return [items[pos:pos + size]
+                    for pos in range(0, len(items), size)]
+        base, extra = divmod(len(items), workers)
+        chunks, start = [], 0
+        for worker in range(workers):
+            end = start + base + (1 if worker < extra else 0)
+            chunks.append(items[start:end])
+            start = end
+        return chunks
 
     def run_cold(self, trials: int) -> CampaignResult:
         """The comparison baseline: rebuild the target for every trial.

@@ -309,6 +309,9 @@ def main(argv: list[str]) -> int:
         metrics = MetricsCollector()
         factories.append(lambda machine: metrics)
     scope = observe_new_machines(*factories) if factories else nullcontext()
+    # Observed runs are sequential (observers cannot cross worker
+    # processes); asking for the pool would only earn a warning.
+    jobs = 1 if factories else options.jobs
 
     with scope:
         for key in selected:
@@ -316,13 +319,13 @@ def main(argv: list[str]) -> int:
             banner = f"==== {key.upper()} :: {title} "
             print(banner + "=" * max(0, 78 - len(banner)))
             if key == "e4":
-                print(run_e4(jobs=options.jobs,
+                print(run_e4(jobs=jobs,
                              invariants=options.invariants))
             elif key == "campaign":
-                print(run_campaign(jobs=options.jobs, seed=options.seed))
+                print(run_campaign(jobs=jobs, seed=options.seed))
             elif key == "fuzz":
                 # Sequential by default: the greybox loop's warm
-                # in-process executor beats pool spin-up at these
+                # in-process session beats pool spin-up at these
                 # budgets, and observed runs can't cross processes.
                 print(run_fuzz(jobs=None, seed=options.seed))
             elif key == "e6":

@@ -154,9 +154,9 @@ def aslr_guess_campaign(bits_list=(0, 1, 2, 3, 4, 6), trials: int = 64,
             bits,
             base_seed + bits,
         )
-        runner = CampaignRunner(Fig1Factory(config, base_seed), trial=trial,
-                                jobs=jobs)
-        result = runner.run(trials)
+        with CampaignRunner(Fig1Factory(config, base_seed), trial=trial,
+                            jobs=jobs) as runner:
+            result = runner.submit_items(range(trials)).result()
         successes = sum(1 for verdict in result.verdicts
                         if verdict == "success")
         points.append(GuessPoint(bits, trials, successes,
@@ -197,9 +197,9 @@ def pin_bruteforce_campaign(pin_space: int = 1500, first_pin: int = 0,
     from repro.experiments.modules_exp import io_attacker_lockout
 
     lockout = io_attacker_lockout(guess_budget=lockout_budget)
-    runner = CampaignRunner(SecretFactory(), trial=PinGuessTrial(first_pin),
-                            jobs=jobs)
-    result = runner.run(pin_space)
+    with CampaignRunner(SecretFactory(), trial=PinGuessTrial(first_pin),
+                        jobs=jobs) as runner:
+        result = runner.submit_items(range(pin_space)).result()
     found = [pin for pin in result.verdicts if pin is not None]
     return {
         "in_run_guesses": lockout["guesses_sent"],
@@ -254,8 +254,9 @@ def matrix_campaign(trials: int = 12, base_seed: int = 7,
             config.aslr_bits,
             base_seed,
         )
-        result = CampaignRunner(Fig1Factory(config, base_seed), trial=trial,
-                                jobs=jobs).run(trials)
+        with CampaignRunner(Fig1Factory(config, base_seed), trial=trial,
+                            jobs=jobs) as runner:
+            result = runner.submit_items(range(trials)).result()
         counts = Counter(result.verdicts)
         rows.append({
             "preset": name,
@@ -302,8 +303,9 @@ def snapshot_vs_cold(trials: int = 64,
         config.aslr_bits,
         base_seed,
     )
-    runner = CampaignRunner(Fig1Factory(config, base_seed), trial=trial)
-    warm = runner.run(trials)
+    with CampaignRunner(Fig1Factory(config, base_seed),
+                        trial=trial) as runner:
+        warm = runner.submit_items(range(trials)).result()
     cold = runner.run_cold(trials)
     return warm, cold
 

@@ -21,9 +21,11 @@ Two victim families:
   deterministic length-extension stage finding the boundary in a
   handful of executions.
 
-Every execution (both strategies) runs through a warm
-:class:`~repro.analysis.greybox.SnapshotExecutor`, so the comparison
-isolates the search strategy, not the harness.
+Both strategies build the victim once and restore a warm snapshot
+per input -- the blind fuzzer through
+:class:`~repro.analysis.greybox.SnapshotExecutor`, the greybox loop
+through :meth:`~repro.campaign.CampaignRunner.submit_items` -- so the
+comparison isolates the search strategy, not the harness.
 """
 
 from __future__ import annotations

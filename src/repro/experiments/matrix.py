@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.attacks import io_attacks
 from repro.attacks.base import AttackResult
 from repro.experiments.reporting import render_table
-from repro.machine.machine import dispatch_defaults
+from repro.machine.machine import dispatch_defaults, pool_allowed
 from repro.mitigations.config import MATRIX_PRESETS, MitigationConfig
 
 #: The attack battery, in the order the paper introduces the techniques.
@@ -120,7 +120,8 @@ def run_matrix(
     or ``1`` keeps the sequential in-process path (deterministic
     debugging, and required when ``observe_new_machines`` factories
     are active -- observers cannot cross process boundaries, so the
-    pool is skipped for them regardless of ``jobs``).  Cell order and
+    pool is skipped for them regardless of ``jobs``, with the same
+    ``RuntimeWarning`` the campaign runner emits).  Cell order and
     content are identical either way: every cell is seeded
     explicitly, so the table does not depend on scheduling.
 
@@ -130,19 +131,13 @@ def run_matrix(
     :attr:`MatrixCell.first_breach` -- the per-cell scope is local to
     the worker, so the pool still applies.
     """
-    import repro.machine.machine as machine_module
-
     tasks = [
         (attack_fn, attack_name, preset_name, preset, seed,
          dispatch_defaults(), invariants)
         for attack_fn, attack_name in UNIQUE_ATTACKS
         for preset_name, preset in presets
     ]
-    sequential = (
-        jobs is None or jobs <= 1
-        or machine_module._DEFAULT_OBSERVER_FACTORIES
-    )
-    if sequential:
+    if not pool_allowed(jobs, "run_matrix"):
         return [_run_cell(task) for task in tasks]
     workers = min(jobs, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import os
 import pickle
+import warnings
 from dataclasses import dataclass, field, fields
 from time import perf_counter
 
@@ -130,6 +131,30 @@ def dispatch_defaults(defaults: tuple[bool, bool, bool] | None = None,
     if defaults is not None:
         DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT = defaults
     return DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT
+
+
+def pool_allowed(jobs: int | None, caller: str) -> bool:
+    """Whether ``caller`` may fan ``jobs`` workers out over a process
+    pool.
+
+    ``jobs`` of None or 1 means sequential.  Active
+    :func:`repro.observe.observe_new_machines` factories also force the
+    sequential path -- observers cannot cross worker process
+    boundaries -- and a :class:`RuntimeWarning` says so.
+    """
+    if not jobs or jobs <= 1:
+        return False
+    if _DEFAULT_OBSERVER_FACTORIES:
+        warnings.warn(
+            f"{caller}(jobs={jobs}) is running sequentially: "
+            "observe_new_machines() default observer factories are "
+            "active, and observers cannot cross worker process "
+            "boundaries",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
+    return True
 
 
 def _env_override(name: str) -> bool | None:
@@ -929,22 +954,7 @@ class Machine:
         dropped = len(self._decode_cache) + len(self._block_cache)
         self._decode_cache.clear()
         self._decode_pages.clear()
-        if self._block_cache:
-            self._block_cache.clear()
-            self._block_pages.clear()
-            self._block_epoch += 1
-        registry = self._chain_registry
-        if registry:
-            for cells in registry.values():
-                for cell in cells:
-                    cell[0] = None
-            registry.clear()
-        if self._trace_cache:
-            self._trace_cache.clear()
-            self._trace_pages.clear()
-            self._block_epoch += 1
-        self._trace_counts.clear()
-        self._trace_failed.clear()
+        self._flush_translations()
         self.memory.unwatch_all()
         hub = self._observers
         if hub is not None and hub.decode_invalidate:

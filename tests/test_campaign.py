@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.campaign import CampaignRunner, CampaignSession, ComposedTrial
+from repro.campaign import (
+    CampaignResult,
+    CampaignRunner,
+    CampaignSession,
+    ComposedTrial,
+)
 from repro.experiments.campaign_exp import (
     Fig1Factory,
     PinGuessTrial,
@@ -45,18 +50,24 @@ def _guess_runner(bits: int = 2, jobs: int | None = None) -> CampaignRunner:
     return CampaignRunner(Fig1Factory(config, 42), trial=trial, jobs=jobs)
 
 
+def _run(runner: CampaignRunner, items) -> CampaignResult:
+    """One batch through the runner's pool (when ``jobs`` > 1)."""
+    with runner:
+        return runner.submit_items(items).result()
+
+
 class TestRunnerParity:
     def test_snapshot_equals_cold_rebuild(self):
         runner = _guess_runner()
-        warm = runner.run(10)
+        warm = _run(runner, range(10))
         cold = runner.run_cold(10)
         assert warm.verdicts == cold.verdicts
         assert warm.mode == "snapshot" and cold.mode == "cold"
         assert warm.restored_pages > 0 and cold.restored_pages == 0
 
     def test_parallel_equals_sequential(self):
-        sequential = _guess_runner(jobs=1).run(10)
-        parallel = _guess_runner(jobs=2).run(10)
+        sequential = _run(_guess_runner(jobs=1), range(10))
+        parallel = _run(_guess_runner(jobs=2), range(10))
         assert parallel.verdicts == sequential.verdicts
         assert sequential.workers == 1
         assert parallel.workers == 2
@@ -65,7 +76,8 @@ class TestRunnerParity:
         from repro.observe import MetricsCollector, observe_new_machines
 
         with observe_new_machines(lambda machine: MetricsCollector()):
-            result = _guess_runner(jobs=2).run(4)
+            with pytest.warns(RuntimeWarning, match="observe_new_machines"):
+                result = _run(_guess_runner(jobs=2), range(4))
         assert result.workers == 1  # observers force in-process trials
 
     def test_composed_trial_from_mutator_and_verdict(self):
@@ -77,7 +89,7 @@ class TestRunnerParity:
 
         runner = CampaignRunner(SecretFactory(), mutator, verdict,
                                 max_instructions=500_000)
-        result = runner.run(3)
+        result = _run(runner, range(3))
         assert result.verdicts == [b"0\n"] * 3  # wrong PINs, fresh lockouts
 
     def test_runner_requires_trial_or_pair(self):
@@ -90,14 +102,17 @@ class TestRunnerLifecycle:
         """close() must release the warm sequential session (a built
         machine plus its snapshot pages), not just the pool."""
         runner = _guess_runner(jobs=1)
-        runner.run_items([0, 1])
+        runner.submit_items([0, 1]).result()
         assert runner._session is not None
         runner.close()
         assert runner._session is None
 
     def test_degrade_to_sequential_warns(self):
         """jobs > 1 with observe_new_machines() factories active used
-        to silently run sequentially; now it says why."""
+        to silently run sequentially; now the runner and the E4 matrix
+        both say why, with the same warning."""
+        from repro.experiments.matrix import run_matrix
+        from repro.mitigations.config import NONE
         from repro.observe import MetricsCollector, observe_new_machines
 
         runner = _guess_runner(jobs=2)
@@ -105,7 +120,11 @@ class TestRunnerLifecycle:
             with pytest.warns(RuntimeWarning,
                               match="observe_new_machines"):
                 runner.__enter__()
+            with pytest.warns(RuntimeWarning,
+                              match="observe_new_machines"):
+                cells = run_matrix(presets=(("none", NONE),), jobs=2)
         assert runner._pool is None
+        assert cells  # the matrix still ran, in process
         runner.close()
 
     def test_no_warning_without_factories(self):
@@ -114,7 +133,7 @@ class TestRunnerLifecycle:
         with _guess_runner(jobs=2) as runner:
             with warnings_module.catch_warnings():
                 warnings_module.simplefilter("error")
-                runner.run(4)
+                runner.submit_items(range(4)).result()
 
 
 class TestSubmitItems:
@@ -123,9 +142,11 @@ class TestSubmitItems:
         runner.chunksize = chunksize
         return runner
 
-    def test_submit_matches_run_items_sequential(self):
+    def test_submit_matches_session_trials(self):
+        """A lazy sequential batch yields exactly what running the same
+        trials one by one on the warm session does."""
         runner = self.trial_runner()
-        direct = runner.run_items([0, 1, 2, 3]).verdicts
+        direct = [runner.session().run_trial(index) for index in range(4)]
         pending = runner.submit_items([0, 1, 2, 3])
         assert pending.result().verdicts == direct
         assert pending.result() is pending.result()  # cached
@@ -139,7 +160,7 @@ class TestSubmitItems:
             second = runner.submit_items([4, 5, 6, 7])
             pipelined = (first.result().verdicts
                          + second.result().verdicts)
-        barrier = self.trial_runner().run_items(range(8)).verdicts
+        barrier = _run(self.trial_runner(), range(8)).verdicts
         assert pipelined == barrier
 
     def test_chunksize_splits_work_units(self):
@@ -162,7 +183,7 @@ class TestSubmitItems:
         """Closing the runner with a pooled batch in flight must not
         orphan its futures: the batch is already executing, so close()
         drains it and the verdicts stay collectable afterwards."""
-        direct = self.trial_runner().run_items([0, 1, 2, 3]).verdicts
+        direct = _run(self.trial_runner(), [0, 1, 2, 3]).verdicts
         runner = self.trial_runner(jobs=2)
         runner.__enter__()
         pending = runner.submit_items([0, 1, 2, 3])

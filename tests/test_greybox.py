@@ -242,6 +242,34 @@ class TestGreyboxRegressions:
         assert report.corpus_size >= 1
         assert report.edges > 0
 
+    def test_report_counts_restored_pages_on_both_paths(self):
+        """restored_pages sums every batch's restores, pooled or not
+        (a jobs=2 report used to read 0)."""
+        pages = {}
+        for jobs in (1, 2):
+            pages[jobs] = GreyboxFuzzer(
+                VictimFactory("fig1_staged", TESTING), seed=7, jobs=jobs,
+            ).run(600, minimize=False).restored_pages
+        assert pages[1] == 599
+        assert pages[2] > 0
+
+    def test_sequential_fuzzer_builds_victim_once(self):
+        """At jobs=1 the baseline bytes, every mutation batch and crash
+        minimization share one warm session: one victim build."""
+        base = VictimFactory("data_only", TESTING)
+        builds = []
+
+        def factory():
+            builds.append(1)
+            return base()
+
+        fuzzer = GreyboxFuzzer(factory, seed=3, invariants=True)
+        fuzzer.baseline_snapshot_bytes()
+        report = fuzzer.run(800)
+        assert report.execs == 800
+        assert report.minimization_execs > 0
+        assert len(builds) == 1
+
 
 # ---------------------------------------------------------------------------
 # Crash triage
