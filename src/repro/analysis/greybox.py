@@ -113,6 +113,27 @@ class SourceFactory:
         return load([obj, libc_object()], self.config, seed=self.seed)
 
 
+def _instrument(target, observer: CoverageObserver | None, invariants: bool,
+                baseline_bytes: bytes | None):
+    """Attach ``observer`` and (with ``invariants``) a bound
+    :class:`InvariantMonitor` to a fresh build; returns ``(machine,
+    monitor)``.  A resumed campaign does not trust a rebuild to
+    reproduce the original image bit-for-bit, so it restores the
+    stored RSNP ``baseline_bytes`` over the build."""
+    machine = getattr(target, "machine", target)
+    if observer is not None:
+        machine.attach_observer(observer)
+    monitor = None
+    if invariants:
+        monitor = InvariantMonitor()
+        machine.attach_observer(monitor)
+        if hasattr(target, "image"):
+            monitor.bind_program(target)
+    if baseline_bytes is not None:
+        machine.restore(MachineSnapshot.from_bytes(baseline_bytes))
+    return machine, monitor
+
+
 @dataclass(frozen=True)
 class InstrumentedFactory:
     """Wraps a target factory to attach a fresh coverage observer
@@ -128,15 +149,8 @@ class InstrumentedFactory:
 
     def __call__(self):
         target = self.base()
-        machine = getattr(target, "machine", target)
-        machine.attach_observer(CoverageObserver())
-        if self.invariants:
-            monitor = InvariantMonitor()
-            machine.attach_observer(monitor)
-            if hasattr(target, "image"):
-                monitor.bind_program(target)
-        if self.baseline_bytes is not None:
-            machine.restore(MachineSnapshot.from_bytes(self.baseline_bytes))
+        _instrument(target, CoverageObserver(), self.invariants,
+                    self.baseline_bytes)
         return target
 
 
@@ -182,21 +196,9 @@ class SnapshotExecutor:
         baseline_bytes: bytes | None = None,
     ) -> None:
         self.target = factory()
-        self.machine = getattr(self.target, "machine", self.target)
         self.observer = observer
-        if observer is not None:
-            self.machine.attach_observer(observer)
-        self.monitor: InvariantMonitor | None = None
-        if invariants:
-            self.monitor = InvariantMonitor()
-            self.machine.attach_observer(self.monitor)
-            if hasattr(self.target, "image"):
-                self.monitor.bind_program(self.target)
-        if baseline_bytes is not None:
-            # A resumed campaign does not trust a rebuild to reproduce
-            # the original image bit-for-bit; it restores the stored
-            # RSNP snapshot over the fresh build and baselines *that*.
-            self.machine.restore(MachineSnapshot.from_bytes(baseline_bytes))
+        self.machine, self.monitor = _instrument(
+            self.target, observer, invariants, baseline_bytes)
         self.baseline = self.machine.snapshot()
         self.max_instructions = max_instructions
         #: Total inputs executed through this executor.

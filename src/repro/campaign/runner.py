@@ -114,9 +114,9 @@ _WORKER_SESSION: CampaignSession | None = None
 def _worker_init(factory, trial, defaults) -> None:
     """Pool initializer: build one warm session for this process.
 
-    The parent's dispatch defaults ride along so workers execute down
-    the same machine path (the differential suites flip those module
-    globals and expect whole pipelines to honour them).
+    The parent's :func:`~repro.machine.machine.dispatch_defaults`
+    value rides along and replaces whatever the worker read from its
+    environment, so workers execute down the parent's machine path.
     """
     dispatch_defaults(defaults)
     global _WORKER_SESSION

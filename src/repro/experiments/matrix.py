@@ -73,10 +73,10 @@ class MatrixCell:
 def _run_cell(task: tuple) -> MatrixCell:
     """Run one (attack, preset) cell.  Module-level so it pickles.
 
-    The parent's dispatch defaults ride along in the task so worker
-    processes execute down the same machine path (the differential
-    suites flip those module globals and expect whole pipelines --
-    parallel or not -- to honour them).
+    The parent's :func:`~repro.machine.machine.dispatch_defaults`
+    value rides along in the task and replaces whatever the worker
+    read from its environment, so every cell -- parallel or not --
+    executes down the parent's machine path.
     """
     (attack_fn, attack_name, preset_name, preset, seed,
      defaults, invariants) = task

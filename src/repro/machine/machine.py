@@ -26,6 +26,7 @@ import pickle
 import warnings
 from dataclasses import dataclass, field, fields
 from time import perf_counter
+from typing import NamedTuple
 
 from repro.errors import (
     BoundsFault,
@@ -103,34 +104,47 @@ _NEEDED = {
     AccessKind.WRITE: PERM_W,
 }
 
-#: Default for :attr:`MachineConfig.decode_cache`.  The differential
-#: suite flips this module global to run whole experiment pipelines
-#: (which construct their machines internally) without the cache.
-DECODE_CACHE_DEFAULT = True
+def _env_switch(name: str) -> bool:
+    """One boolean environment switch, on when unset; a spelling that
+    is neither on nor off raises instead of guessing."""
+    value = os.environ.get(name, "1")
+    key = value.strip().lower()
+    if key in ("1", "true", "yes", "on"):
+        return True
+    if key in ("0", "false", "no", "off", ""):
+        return False
+    raise ValueError(f"{name}={value!r}: expected 1/true/yes/on or "
+                     "0/false/no/off (or empty)")
 
-#: Default for :attr:`MachineConfig.block_cache`, flipped the same way
-#: by the block-mode differential suite.
-BLOCK_CACHE_DEFAULT = True
 
-#: Default for :attr:`MachineConfig.trace_jit`, flipped the same way
-#: by the trace-mode differential suite.
-TRACE_JIT_DEFAULT = True
+class DispatchPolicy(NamedTuple):
+    """Defaults for :class:`MachineConfig`'s three dispatch tiers."""
+
+    decode_cache: bool = True
+    block_cache: bool = True
+    trace_jit: bool = True
+
+
+#: The one process-wide dispatch value, read from the environment once
+#: at import so CI can run the whole suite down a chosen execution
+#: path (``REPRO_BLOCK_CACHE=0 pytest ...``) without touching any test.
+_DISPATCH = DispatchPolicy(block_cache=_env_switch("REPRO_BLOCK_CACHE"),
+                           trace_jit=_env_switch("REPRO_TRACE"))
 
 
 def dispatch_defaults(defaults: tuple[bool, bool, bool] | None = None,
-                      ) -> tuple[bool, bool, bool]:
-    """Read, and with ``defaults`` first apply, the three dispatch
-    defaults ``(DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT,
-    TRACE_JIT_DEFAULT)``.
+                      ) -> DispatchPolicy:
+    """Read, and with ``defaults`` first replace, the process-wide
+    :class:`DispatchPolicy`.
 
-    Pool initializers call this with the tuple the parent read, so
-    worker processes -- under any start method -- build their machines
-    down the parent's dispatch path.
+    Pool initializers call this with the parent's value, so workers
+    -- under any start method, whatever environment they inherited --
+    build their machines down the parent's dispatch path.
     """
-    global DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT
+    global _DISPATCH
     if defaults is not None:
-        DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT = defaults
-    return DECODE_CACHE_DEFAULT, BLOCK_CACHE_DEFAULT, TRACE_JIT_DEFAULT
+        _DISPATCH = DispatchPolicy(*defaults)
+    return _DISPATCH
 
 
 def pool_allowed(jobs: int | None, caller: str) -> bool:
@@ -155,33 +169,6 @@ def pool_allowed(jobs: int | None, caller: str) -> bool:
         )
         return False
     return True
-
-
-def _env_override(name: str) -> bool | None:
-    """Tri-state environment switch: None when unset, else its truth.
-
-    Lets CI run the whole suite down a chosen execution path
-    (``REPRO_BLOCK_CACHE=0 pytest ...``) without touching any test.
-    """
-    value = os.environ.get(name)
-    if value is None:
-        return None
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _decode_cache_default() -> bool:
-    env = _env_override("REPRO_DECODE_CACHE")
-    return DECODE_CACHE_DEFAULT if env is None else env
-
-
-def _block_cache_default() -> bool:
-    env = _env_override("REPRO_BLOCK_CACHE")
-    return BLOCK_CACHE_DEFAULT if env is None else env
-
-
-def _trace_jit_default() -> bool:
-    env = _env_override("REPRO_TRACE")
-    return TRACE_JIT_DEFAULT if env is None else env
 
 
 class RunStatus(enum.Enum):
@@ -341,14 +328,16 @@ class MachineConfig:
     #: executable pages and on permission/module-table changes).  Off
     #: reproduces the historical decode-every-step interpreter; the
     #: differential suite asserts both modes are observationally
-    #: identical.
-    decode_cache: bool = field(default_factory=_decode_cache_default)
+    #: identical.  The three dispatch tiers default from the
+    #: process-wide :func:`dispatch_defaults` value.
+    decode_cache: bool = field(default_factory=lambda: _DISPATCH.decode_cache)
     #: Translate straight-line instruction runs into fused superblock
     #: closures dispatched block-at-a-time by :meth:`Machine.run`
     #: (see :mod:`repro.machine.blocks`).  Shares the decode cache's
     #: write/perm/PMA invalidation machinery; observed machines and
     #: :meth:`Machine.step` always use the per-instruction path.
-    block_cache: bool = field(default_factory=_block_cache_default)
+    #: ``REPRO_BLOCK_CACHE=0`` turns the process default off.
+    block_cache: bool = field(default_factory=lambda: _DISPATCH.block_cache)
     #: Longest instruction run fused into one superblock (see
     #: :data:`repro.machine.blocks.MAX_BLOCK_INSNS` for the rationale
     #: behind the default).
@@ -356,10 +345,9 @@ class MachineConfig:
     #: Tier-2 trace JIT: count block-head executions and, past
     #: :attr:`trace_hot_threshold`, record the hot path through taken
     #: branches into a single guarded loop closure (see
-    #: :mod:`repro.machine.trace`).  Requires ``block_cache``; opt out
-    #: with ``REPRO_TRACE=0`` or ``trace_jit=False``, mirroring the
-    #: block-cache switches.
-    trace_jit: bool = field(default_factory=_trace_jit_default)
+    #: :mod:`repro.machine.trace`).  Requires ``block_cache``;
+    #: ``REPRO_TRACE=0`` turns the process default off.
+    trace_jit: bool = field(default_factory=lambda: _DISPATCH.trace_jit)
     #: Block-head executions before the trace recorder kicks in.
     trace_hot_threshold: int = 20
     #: Longest recorded trace (instructions per loop iteration).

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.asm import assemble
 from repro.link import LoadedProgram, load
 from repro.machine import Machine, MachineConfig, RunResult
+from repro.machine import machine as machine_module
 from repro.minic import CompileOptions, compile_source
 from repro.mitigations import MitigationConfig, NONE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def asm_program(source: str, config: MitigationConfig = NONE,
@@ -54,3 +62,52 @@ def bare_machine() -> Machine:
     machine.cpu.ip = 0x1000
     machine.cpu.sp = 0x0020F000
     return machine
+
+
+@pytest.fixture
+def dispatch(request, monkeypatch):
+    """Setter for the process-wide dispatch value, undone after the
+    test: ``dispatch(block_cache=False)`` replaces that one field and
+    returns the new value (``dispatch()`` just reads it).
+
+    Pipelines that build their own machines follow it, and so do pool
+    workers, which receive the value through their initializer.
+    Indirect parametrization (:data:`BLOCK_LEGS`) applies its fields
+    before the test starts.
+    """
+    def apply(**fields) -> machine_module.DispatchPolicy:
+        policy = machine_module.dispatch_defaults()._replace(**fields)
+        monkeypatch.setattr(machine_module, "_DISPATCH", policy)
+        return policy
+
+    apply(**getattr(request, "param", {}))
+    return apply
+
+
+#: Run a test under both superblock dispatch legs, whatever leg the
+#: environment selected.
+BLOCK_LEGS = pytest.mark.parametrize(
+    "dispatch", [{"block_cache": True}, {"block_cache": False}],
+    ids=["blocks", "stepped"], indirect=True)
+
+
+def run_python(script: str, *args: str, **env: str,
+               ) -> subprocess.CompletedProcess:
+    """Run ``script`` (with ``args``) in a fresh interpreter whose
+    environment adds ``env``.  The dispatch switches are read once,
+    when the machine module is imported, so only a new process sees a
+    changed ``REPRO_BLOCK_CACHE``/``REPRO_TRACE``.  The repository
+    root is on the child's path, so test modules import there too."""
+    path = os.pathsep.join((str(SRC), str(SRC.parent)))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def child_dispatch(**env: str) -> subprocess.CompletedProcess:
+    """Print ``decode_cache block_cache trace_jit`` of a ``Machine()``
+    built in a fresh interpreter whose environment adds ``env``."""
+    return run_python("from repro.machine import Machine\n"
+                      "config = Machine().config\n"
+                      "print(config.decode_cache, config.block_cache, "
+                      "config.trace_jit)\n", **env)

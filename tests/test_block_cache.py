@@ -15,6 +15,7 @@ from repro.machine import Machine, MachineConfig
 from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_R, PERM_RW, PERM_RWX, PERM_RX
 from repro.observe import MetricsCollector
+from tests.conftest import child_dispatch
 
 CODE = 0x1000
 STACK_BASE = 0x00200000
@@ -168,13 +169,31 @@ class TestOptOut:
         assert result.exit_code == 150
         assert machine.block_cache_stats()["blocks"] == 0
 
-    def test_env_var_disables_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CACHE", "0")
-        assert MachineConfig().block_cache is False
-        monkeypatch.setenv("REPRO_BLOCK_CACHE", "1")
-        assert MachineConfig().block_cache is True
-        monkeypatch.delenv("REPRO_BLOCK_CACHE")
-        assert MachineConfig().block_cache is machine_module.BLOCK_CACHE_DEFAULT
+    def test_env_var_disables_default(self):
+        for value, expected in (("0", "False"), ("1", "True")):
+            child = child_dispatch(REPRO_BLOCK_CACHE=value)
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.split()[1] == expected
+
+    def test_env_var_typo_fails_loudly(self):
+        child = child_dispatch(REPRO_BLOCK_CACHE="flase")
+        assert child.returncode != 0
+        assert "REPRO_BLOCK_CACHE='flase'" in child.stderr
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("true", True), ("yes", True), ("on", True),
+        (" Yes ", True), ("0", False), ("false", False), ("no", False),
+        ("off", False), ("OFF", False), ("", False),
+    ])
+    def test_env_switch_spellings(self, monkeypatch, value, expected):
+        monkeypatch.setenv("VN32_SWITCH_PROBE", value)
+        assert machine_module._env_switch("VN32_SWITCH_PROBE") is expected
+
+    @pytest.mark.parametrize("value", ["flase", "2", "enabled"])
+    def test_env_switch_rejects_other_values(self, monkeypatch, value):
+        monkeypatch.setenv("VN32_SWITCH_PROBE", value)
+        with pytest.raises(ValueError, match="VN32_SWITCH_PROBE"):
+            machine_module._env_switch("VN32_SWITCH_PROBE")
 
     def test_observed_machine_falls_back_to_interpreter(self):
         machine = rwx_machine()

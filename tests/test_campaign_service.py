@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.machine.machine as machine_module
 from repro.analysis.greybox import GreyboxFuzzer, VictimFactory
 from repro.campaign.service import (
     CampaignCoordinator,
@@ -29,6 +28,7 @@ from repro.campaign.service import (
 from repro.campaign.store import CampaignStore, TriageRecord
 from repro.mitigations.config import TESTING
 from repro.observe.coverage import CrashSite
+from tests.conftest import BLOCK_LEGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,18 +40,6 @@ def _fuzzer(**kwargs) -> GreyboxFuzzer:
                          invariants=True, **kwargs)
 
 
-@pytest.fixture(params=[True, False], ids=["blocks", "stepped"])
-def block_default(request):
-    """Both dispatch legs: the resume contract may not depend on how
-    the machine executes (workers inherit via pool initargs)."""
-    previous = machine_module.BLOCK_CACHE_DEFAULT
-    machine_module.BLOCK_CACHE_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = previous
-
-
 # ---------------------------------------------------------------------------
 # Fuzzer-level checkpoint/resume
 # ---------------------------------------------------------------------------
@@ -60,7 +48,8 @@ def block_default(request):
 class TestCheckpointResume:
     BUDGET = 800
 
-    def test_resume_report_identical_to_uninterrupted(self, block_default):
+    @BLOCK_LEGS
+    def test_resume_report_identical_to_uninterrupted(self, dispatch):
         """The acceptance criterion, at the fuzzer level: interrupt
         after one batch, resume from the pickled checkpoint, compare
         full-report fingerprints (corpus digest, crash dedup set with
@@ -212,8 +201,9 @@ class TestCoordinator:
         kwargs.setdefault("max_execs", 600)
         return CampaignSpec(job_id=job_id, **kwargs)
 
+    @BLOCK_LEGS
     def test_interrupt_resume_converges_to_direct_run(self, tmp_path,
-                                                      block_default):
+                                                      dispatch):
         """The full service path: bounded serve (interrupt), then an
         unbounded serve (resume); the sealed report must carry the
         fingerprint of a direct uninterrupted campaign."""

@@ -18,13 +18,11 @@ mid-block.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.isa.instructions import Instruction
 from repro.machine import Machine, MachineConfig, RunResult
-from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.mitigations import DEP, NONE
 
@@ -38,17 +36,6 @@ STACK_TOP = 0x0020F000
 #: unmapped memory in interesting proportions.
 SEED_REGS = (0, 1, 7, DATA, DATA + 0x800, CODE, 0xDEADBEEF, 2,
              STACK_TOP, STACK_TOP)
-
-
-@pytest.fixture
-def unblocked_default():
-    """Flip the module-wide default so pipelines that build their own
-    machines (the attack suites) run without block translation."""
-    machine_module.BLOCK_CACHE_DEFAULT = False
-    try:
-        yield
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = True
 
 
 def summarize(result: RunResult) -> tuple:
@@ -296,28 +283,31 @@ def _attack_summary(result):
 class TestAttackPipelines:
     """Whole attack pipelines (which build machines internally) agree."""
 
-    def test_fig1_injection_exploit_identical(self, unblocked_default):
+    def test_fig1_injection_exploit_identical(self, dispatch):
         from repro.attacks import attack_stack_smash_injection
 
+        dispatch(block_cache=False)
         stepped = _attack_summary(attack_stack_smash_injection(NONE))
-        machine_module.BLOCK_CACHE_DEFAULT = True
+        dispatch(block_cache=True)
         blocked = _attack_summary(attack_stack_smash_injection(NONE))
         assert blocked == stepped
         assert blocked[2][6]  # the exploit spawns its shell either way
 
-    def test_rop_chain_identical(self, unblocked_default):
+    def test_rop_chain_identical(self, dispatch):
         from repro.attacks import attack_rop_shell
 
+        dispatch(block_cache=False)
         stepped = _attack_summary(attack_rop_shell(DEP))
-        machine_module.BLOCK_CACHE_DEFAULT = True
+        dispatch(block_cache=True)
         blocked = _attack_summary(attack_rop_shell(DEP))
         assert blocked == stepped
 
-    def test_dep_blocks_injection_identically(self, unblocked_default):
+    def test_dep_blocks_injection_identically(self, dispatch):
         from repro.attacks import attack_stack_smash_injection
 
+        dispatch(block_cache=False)
         stepped = _attack_summary(attack_stack_smash_injection(DEP))
-        machine_module.BLOCK_CACHE_DEFAULT = True
+        dispatch(block_cache=True)
         blocked = _attack_summary(attack_stack_smash_injection(DEP))
         assert blocked == stepped
 

@@ -19,21 +19,9 @@ import pytest
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig, RunResult
-from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.mitigations import DEP, NONE
 from tests.conftest import c_program
-
-
-@pytest.fixture
-def uncached_default():
-    """Flip the module-wide default so pipelines that build their own
-    machines (the attack suites) run without the decode cache."""
-    machine_module.DECODE_CACHE_DEFAULT = False
-    try:
-        yield
-    finally:
-        machine_module.DECODE_CACHE_DEFAULT = True
 
 
 def summarize(result: RunResult) -> tuple:
@@ -193,27 +181,30 @@ def _attack_summary(result):
 class TestAttackPipelines:
     """Whole attack pipelines (which build machines internally) agree."""
 
-    def test_fig1_injection_exploit_identical(self, uncached_default):
+    def test_fig1_injection_exploit_identical(self, dispatch):
         from repro.attacks import attack_stack_smash_injection
 
+        dispatch(decode_cache=False)
         uncached = _attack_summary(attack_stack_smash_injection(NONE))
-        machine_module.DECODE_CACHE_DEFAULT = True
+        dispatch(decode_cache=True)
         cached = _attack_summary(attack_stack_smash_injection(NONE))
         assert cached == uncached
         assert cached[2][6]  # the exploit spawns its shell either way
 
-    def test_rop_chain_identical(self, uncached_default):
+    def test_rop_chain_identical(self, dispatch):
         from repro.attacks import attack_rop_shell
 
+        dispatch(decode_cache=False)
         uncached = _attack_summary(attack_rop_shell(DEP))
-        machine_module.DECODE_CACHE_DEFAULT = True
+        dispatch(decode_cache=True)
         cached = _attack_summary(attack_rop_shell(DEP))
         assert cached == uncached
 
-    def test_dep_blocks_injection_identically(self, uncached_default):
+    def test_dep_blocks_injection_identically(self, dispatch):
         from repro.attacks import attack_stack_smash_injection
 
+        dispatch(decode_cache=False)
         uncached = _attack_summary(attack_stack_smash_injection(DEP))
-        machine_module.DECODE_CACHE_DEFAULT = True
+        dispatch(decode_cache=True)
         cached = _attack_summary(attack_stack_smash_injection(DEP))
         assert cached == uncached

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.machine.machine as machine_module
 from repro.analysis.greybox import (
     ExecOutcome,
     GreyboxFuzzer,
@@ -50,6 +49,7 @@ from repro.observe.coverage import (
     stack_hash,
     unpack_edges,
 )
+from tests.conftest import BLOCK_LEGS
 from tests.test_differential_cache import summarize
 
 #: A crashing input for the staged Figure 1 victim: the "GET" method
@@ -383,18 +383,6 @@ class TestEffectiveness:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=[True, False], ids=["blocks", "stepped"])
-def block_default(request):
-    """Run the parallel determinism proof under both dispatch legs
-    (workers inherit the module default through the pool initargs)."""
-    previous = machine_module.BLOCK_CACHE_DEFAULT
-    machine_module.BLOCK_CACHE_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = previous
-
-
 class TestWireCompat:
     def test_pack_unpack_round_trip(self):
         edges = ((0, 1), (5, 128), (4095, 64), (300, 3))
@@ -509,7 +497,8 @@ class TestSharedVirginMap:
         assert "CAMPAIGN-OK" in done.stdout
         assert "Traceback" not in done.stderr, done.stderr
 
-    def test_parallel_matches_sequential_both_legs(self, block_default):
+    @BLOCK_LEGS
+    def test_parallel_matches_sequential_both_legs(self, dispatch):
         """The shared-virgin-map + pipelined path must stay
         report-identical to sequential under either dispatch leg."""
         results = []

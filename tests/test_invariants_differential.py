@@ -176,14 +176,13 @@ def _attack_summary(result):
 
 class TestAttackPipelinesIdentical:
     """Whole attack pipelines agree monitored vs not, on every leg
-    (legs selected via the environment switches the machines honour)."""
+    (legs selected through the process-wide dispatch value)."""
 
-    def _run_smash(self, monkeypatch, leg: str):
+    def _run_smash(self, dispatch, leg: str):
         from repro.attacks import attack_stack_smash_injection
 
         block, trace = LEGS[leg]
-        monkeypatch.setenv("REPRO_BLOCK_CACHE", "1" if block else "0")
-        monkeypatch.setenv("REPRO_TRACE", "1" if trace else "0")
+        dispatch(block_cache=block, trace_jit=trace)
         plain = _attack_summary(attack_stack_smash_injection(NONE))
         monitors: list[InvariantMonitor] = []
 
@@ -202,13 +201,13 @@ class TestAttackPipelinesIdentical:
         return plain, observed, timeline
 
     @pytest.mark.parametrize("leg", sorted(LEGS))
-    def test_monitored_exploit_identical(self, monkeypatch, leg):
-        plain, observed, timeline = self._run_smash(monkeypatch, leg)
+    def test_monitored_exploit_identical(self, dispatch, leg):
+        plain, observed, timeline = self._run_smash(dispatch, leg)
         assert observed == plain
         assert plain[2][6]          # the shell spawns either way
         assert timeline[0][0] == "return-integrity"
 
-    def test_exploit_timeline_identical_across_legs(self, monkeypatch):
-        timelines = [self._run_smash(monkeypatch, leg)[2]
+    def test_exploit_timeline_identical_across_legs(self, dispatch):
+        timelines = [self._run_smash(dispatch, leg)[2]
                      for leg in sorted(LEGS)]
         assert timelines[0] == timelines[1] == timelines[2]

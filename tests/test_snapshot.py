@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import copy
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig
-from repro.machine import machine as machine_module
 from repro.machine.memory import PAGE_SIZE, PERM_R, PERM_RW, PERM_RWX, Memory
 from repro.mitigations import DEP, NONE
+from tests.conftest import BLOCK_LEGS
 from tests.test_differential_blocks import (
     CODE,
     DATA,
@@ -134,17 +133,6 @@ def _trial(machine: Machine, feed: bytes, budget: int = 200_000) -> tuple:
     return summarize(result), _machine_state(machine)
 
 
-@pytest.fixture(params=[True, False], ids=["blocks", "stepped"])
-def block_default(request):
-    """Run every trial sequence under both dispatch strategies."""
-    previous = machine_module.BLOCK_CACHE_DEFAULT
-    machine_module.BLOCK_CACHE_DEFAULT = request.param
-    try:
-        yield request.param
-    finally:
-        machine_module.BLOCK_CACHE_DEFAULT = previous
-
-
 def _fig1_exploit_payloads() -> tuple:
     """The Fig. 1 injection exploit payload plus benign inputs, built
     from the attacker's study exactly like the attack pipeline."""
@@ -160,11 +148,11 @@ def _fig1_exploit_payloads() -> tuple:
     return exploit, b"hello\n", b"A" * 8 + b"\n"
 
 
+@BLOCK_LEGS
 class TestSnapshotTrialsIdentical:
     """Restore-based trial N must equal fresh-machine trial N."""
 
-    def _compare(self, build_target, feeds, block_default):
-        builder = build_target
+    def _compare(self, builder, feeds):
         warm = builder()
         machine = warm.machine if hasattr(warm, "machine") else warm
         snap = machine.snapshot()
@@ -181,25 +169,22 @@ class TestSnapshotTrialsIdentical:
         assert warm_runs == cold_runs
         return machine, warm_runs
 
-    def test_fig1_exploit_trials(self, block_default):
+    def test_fig1_exploit_trials(self, dispatch):
         from repro.programs.builders import build_fig1
 
         exploit, benign, overflowish = _fig1_exploit_payloads()
         machine, runs = self._compare(
             lambda: build_fig1(NONE, seed=3, wide_open=True),
             [benign, exploit, overflowish, exploit, benign],
-            block_default,
         )
         shell_runs = [summary for summary, _ in runs if summary[6]]
         assert len(shell_runs) == 2  # both exploit trials, neither benign
-        if block_default and machine.config.block_cache:
+        if dispatch().block_cache:
             # Code pages were never dirtied, so the translated blocks
-            # survived every restore.  (config.block_cache re-checks
-            # because the REPRO_BLOCK_CACHE env override outranks the
-            # module default this fixture flips.)
+            # survived every restore.
             assert machine.block_cache_stats()["blocks"] > 0
 
-    def test_rop_chain_trials(self, block_default):
+    def test_rop_chain_trials(self, dispatch):
         from repro.attacks.gadgets import GadgetCatalog, build_shell_chain
         from repro.attacks.payloads import smash
         from repro.attacks.study import locate_overflow
@@ -214,10 +199,9 @@ class TestSnapshotTrialsIdentical:
         self._compare(
             lambda: build_fig1(DEP, seed=5, wide_open=True),
             [payload, b"plain\n", payload],
-            block_default,
         )
 
-    def test_self_modifying_program_trials(self, block_default):
+    def test_self_modifying_program_trials(self, dispatch):
         # The self-patching loop from the block differential suite:
         # each trial dirties its own code page, so every restore must
         # rewind the patch (and flush stale translations) for the next
@@ -238,8 +222,7 @@ class TestSnapshotTrialsIdentical:
         ])
 
         def builder():
-            machine = Machine(MachineConfig(
-                block_cache=machine_module.BLOCK_CACHE_DEFAULT))
+            machine = Machine()
             machine.memory.map_region(CODE, 0x1000, PERM_RWX)
             machine.memory.map_region(DATA, 0x1000, PERM_RW)
             machine.memory.map_region(STACK_BASE, 0x10000, PERM_RW)
@@ -248,12 +231,11 @@ class TestSnapshotTrialsIdentical:
             machine.cpu.regs[:] = SEED_REGS
             return machine
 
-        machine, runs = self._compare(builder, [b"", b"", b""],
-                                      block_default)
+        machine, runs = self._compare(builder, [b"", b"", b""])
         for summary, _ in runs:
             assert summary[1] == 3  # 1 (original pass) + 2 (patched)
 
-    def test_restore_resets_ip_and_registers_mid_run(self, block_default):
+    def test_restore_resets_ip_and_registers_mid_run(self, dispatch):
         from repro.programs.builders import build_fig1
 
         target = build_fig1(NONE, seed=9, wide_open=True)

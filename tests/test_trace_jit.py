@@ -14,9 +14,9 @@ import pytest
 from repro.errors import ExecutionLimitExceeded
 from repro.isa import Mem, R0, R1, R2, R3, build, encode_many
 from repro.machine import Machine, MachineConfig
-from repro.machine import machine as machine_module
 from repro.machine.memory import PERM_RW, PERM_RWX
 from repro.observe import MetricsCollector
+from tests.conftest import child_dispatch, run_python
 
 CODE = 0x1000
 STACK_BASE = 0x00200000
@@ -108,13 +108,16 @@ class TestRefusals:
         run_hot(machine)
         assert machine.trace_cache_stats()["traces"] == 0
 
-    def test_env_var_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert MachineConfig().trace_jit is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert MachineConfig().trace_jit is True
-        monkeypatch.delenv("REPRO_TRACE")
-        assert MachineConfig().trace_jit is machine_module.TRACE_JIT_DEFAULT
+    def test_env_var_flips_default(self):
+        for value, expected in (("0", "False"), ("1", "True")):
+            child = child_dispatch(REPRO_TRACE=value)
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.split()[2] == expected
+
+    def test_env_var_typo_fails_loudly(self):
+        child = child_dispatch(REPRO_TRACE="of")
+        assert child.returncode != 0
+        assert "REPRO_TRACE='of'" in child.stderr
 
     def test_interpreter_mode_never_traces(self):
         machine = traced_machine(block_cache=False)
@@ -235,41 +238,52 @@ class TestBudgetExactness:
         assert traced[0] == budget
 
 
+def _bare_machine() -> Machine:
+    return Machine()
+
+
+def _block_cache_trial(machine: Machine, item) -> bool:
+    return machine.config.block_cache
+
+
+def _trace_jit_attack(preset, seed) -> bool:
+    return MachineConfig().trace_jit
+
+
 class TestPoolWorkersInheritDefaults:
-    """Pool initializers must apply all three dispatch defaults: under
-    the ``spawn``/``forkserver`` start methods a worker re-imports the
-    machine module, so a default the parent flipped survives only if
-    it is forwarded."""
+    """Pool workers run the parent's dispatch value, whatever leg the
+    environment they inherited names: under ``spawn``/``forkserver`` a
+    worker re-imports the machine module and reads the environment
+    afresh, so the parent's value survives only because the pool
+    initializer forwards it.  Each case runs in a child interpreter
+    whose environment selects the opposite leg."""
 
-    @pytest.fixture
-    def trace_on_everywhere(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        for name in ("DECODE_CACHE_DEFAULT", "BLOCK_CACHE_DEFAULT",
-                     "TRACE_JIT_DEFAULT"):
-            monkeypatch.setattr(machine_module, name, True)
+    def test_campaign_worker_init(self):
+        script = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from repro.campaign import CampaignRunner\n"
+            "from repro.machine.machine import dispatch_defaults\n"
+            "from tests.test_trace_jit import _bare_machine, "
+            "_block_cache_trial\n"
+            "dispatch_defaults((True, False, True))\n"
+            "with CampaignRunner(_bare_machine, trial=_block_cache_trial,\n"
+            "                    jobs=2) as runner:\n"
+            "    print(*runner.submit_items(range(4)).result().verdicts)\n"
+        )
+        for method in ("fork", "spawn"):
+            child = run_python(script, method, REPRO_BLOCK_CACHE="1")
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.split() == ["False"] * 4, method
 
-    def test_campaign_worker_init(self, trace_on_everywhere, monkeypatch):
-        from repro.campaign import runner
-
-        seen = []
-
-        def factory():
-            seen.append(MachineConfig().trace_jit)
-            return Machine(MachineConfig())
-
-        monkeypatch.setattr(runner, "_WORKER_SESSION", None)
-        runner._worker_init(factory, lambda target, index: None,
-                            (True, True, False))
-        assert seen == [False]
-        assert MachineConfig().trace_jit is False
-
-    def test_matrix_cell(self, trace_on_everywhere):
-        from repro.experiments.matrix import _run_cell
-
-        def attack(preset, seed):
-            return MachineConfig().trace_jit
-
-        cell = _run_cell((attack, "probe", "none", None, 0,
-                          (True, True, False), False))
-        assert cell.result is False
-        assert MachineConfig().trace_jit is False
+    def test_matrix_cell(self):
+        script = (
+            "from repro.experiments.matrix import _run_cell\n"
+            "from tests.test_trace_jit import _trace_jit_attack\n"
+            "cell = _run_cell((_trace_jit_attack, 'probe', 'none', None, 0,\n"
+            "                  (True, True, False), False))\n"
+            "print(cell.result)\n"
+        )
+        child = run_python(script, REPRO_TRACE="1")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["False"]
