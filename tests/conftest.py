@@ -12,7 +12,7 @@ import pytest
 from repro.asm import assemble
 from repro.link import LoadedProgram, load
 from repro.machine import Machine, MachineConfig, RunResult
-from repro.machine import machine as machine_module
+from repro.machine.machine import DispatchPolicy, dispatch_defaults
 from repro.minic import CompileOptions, compile_source
 from repro.mitigations import MitigationConfig, NONE
 
@@ -65,7 +65,7 @@ def bare_machine() -> Machine:
 
 
 @pytest.fixture
-def dispatch(request, monkeypatch):
+def dispatch(request):
     """Setter for the process-wide dispatch value, undone after the
     test: ``dispatch(block_cache=False)`` replaces that one field and
     returns the new value (``dispatch()`` just reads it).
@@ -75,10 +75,11 @@ def dispatch(request, monkeypatch):
     Indirect parametrization (:data:`BLOCK_LEGS`) applies its fields
     before the test starts.
     """
-    def apply(**fields) -> machine_module.DispatchPolicy:
-        policy = machine_module.dispatch_defaults()._replace(**fields)
-        monkeypatch.setattr(machine_module, "_DISPATCH", policy)
-        return policy
+    previous = dispatch_defaults()
+    request.addfinalizer(lambda: dispatch_defaults(previous))
+
+    def apply(**fields) -> DispatchPolicy:
+        return dispatch_defaults(dispatch_defaults()._replace(**fields))
 
     apply(**getattr(request, "param", {}))
     return apply
@@ -91,22 +92,29 @@ BLOCK_LEGS = pytest.mark.parametrize(
     ids=["blocks", "stepped"], indirect=True)
 
 
-def run_python(script: str, *args: str, **env: str,
+def run_python(script: str, *args: str, **env: str | None,
                ) -> subprocess.CompletedProcess:
     """Run ``script`` (with ``args``) in a fresh interpreter whose
-    environment adds ``env``.  The dispatch switches are read once,
-    when the machine module is imported, so only a new process sees a
-    changed ``REPRO_BLOCK_CACHE``/``REPRO_TRACE``.  The repository
-    root is on the child's path, so test modules import there too."""
-    path = os.pathsep.join((str(SRC), str(SRC.parent)))
+    environment adds ``env`` (a ``None`` value removes that variable).
+    The dispatch switches are read once, when the machine module is
+    imported, so only a new process sees a changed
+    ``REPRO_BLOCK_CACHE``/``REPRO_TRACE``.  The repository root is on
+    the child's path, so test modules import there too."""
+    child_env = {**os.environ,
+                 "PYTHONPATH": os.pathsep.join((str(SRC), str(SRC.parent)))}
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
     return subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path, **env})
+                          capture_output=True, text=True, env=child_env)
 
 
-def child_dispatch(**env: str) -> subprocess.CompletedProcess:
+def child_dispatch(**env: str | None) -> subprocess.CompletedProcess:
     """Print ``decode_cache block_cache trace_jit`` of a ``Machine()``
-    built in a fresh interpreter whose environment adds ``env``."""
+    built in a fresh interpreter whose environment adds ``env`` (a
+    ``None`` value removes that variable)."""
     return run_python("from repro.machine import Machine\n"
                       "config = Machine().config\n"
                       "print(config.decode_cache, config.block_cache, "

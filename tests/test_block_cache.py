@@ -170,7 +170,8 @@ class TestOptOut:
         assert machine.block_cache_stats()["blocks"] == 0
 
     def test_env_var_disables_default(self):
-        for value, expected in (("0", "False"), ("1", "True")):
+        for value, expected in (("0", "False"), ("1", "True"),
+                                (None, "True")):
             child = child_dispatch(REPRO_BLOCK_CACHE=value)
             assert child.returncode == 0, child.stderr
             assert child.stdout.split()[1] == expected
@@ -188,6 +189,10 @@ class TestOptOut:
     def test_env_switch_spellings(self, monkeypatch, value, expected):
         monkeypatch.setenv("VN32_SWITCH_PROBE", value)
         assert machine_module._env_switch("VN32_SWITCH_PROBE") is expected
+
+    def test_env_switch_unset_is_on(self, monkeypatch):
+        monkeypatch.delenv("VN32_SWITCH_PROBE", raising=False)
+        assert machine_module._env_switch("VN32_SWITCH_PROBE") is True
 
     @pytest.mark.parametrize("value", ["flase", "2", "enabled"])
     def test_env_switch_rejects_other_values(self, monkeypatch, value):

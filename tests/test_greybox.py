@@ -18,11 +18,7 @@ Four proof obligations:
 
 from __future__ import annotations
 
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -49,7 +45,7 @@ from repro.observe.coverage import (
     stack_hash,
     unpack_edges,
 )
-from tests.conftest import BLOCK_LEGS
+from tests.conftest import BLOCK_LEGS, run_python
 from tests.test_differential_cache import summarize
 
 #: A crashing input for the staged Figure 1 victim: the "GET" method
@@ -489,10 +485,7 @@ class TestSharedVirginMap:
             "              jobs=2).run(max_execs=120, minimize=False)\n"
             "print('CAMPAIGN-OK')\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
+        done = run_python(script)
         assert done.returncode == 0, done.stderr
         assert "CAMPAIGN-OK" in done.stdout
         assert "Traceback" not in done.stderr, done.stderr

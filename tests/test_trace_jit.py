@@ -109,7 +109,8 @@ class TestRefusals:
         assert machine.trace_cache_stats()["traces"] == 0
 
     def test_env_var_flips_default(self):
-        for value, expected in (("0", "False"), ("1", "True")):
+        for value, expected in (("0", "False"), ("1", "True"),
+                                (None, "True")):
             child = child_dispatch(REPRO_TRACE=value)
             assert child.returncode == 0, child.stderr
             assert child.stdout.split()[2] == expected
