@@ -189,7 +189,7 @@ def test_bench_snapshot_restore_trials(benchmark):
     session.run_trial(0)  # translate the victim's blocks once
 
     def run_round():
-        return len(session.run_batch(range(_TRIALS_PER_ROUND)))
+        return len(session.run_counted(range(_TRIALS_PER_ROUND))[0])
 
     _bench_trials(benchmark, "snapshot-restore trials", run_round,
                   _TRIALS_PER_ROUND)
@@ -364,8 +364,9 @@ def test_bench_fuzz_campaign(benchmark):
 def test_bench_fuzz_parallel(benchmark):
     """The same campaign fanned out over CampaignRunner workers.
 
-    Pipelined batches + the shared virgin map; jobs=4 (capped at the
-    core count so a small container still produces an honest number).
+    Pipelined batches, each worker shipping every run's packed edge
+    blob to the master's virgin map; jobs=4 (capped at the core count
+    so a small container still produces an honest number).
     The --check scaling gate only binds when cores >= 4.
     """
     import os

@@ -33,10 +33,9 @@ starts from the same restored snapshot), and integrated in input
 order.  The batch schedule is pipelined with a one-batch lag --
 batch N+1 is generated and submitted before batch N is integrated --
 and the sequential path follows the same schedule, so parallel and
-sequential campaigns produce identical reports.  Workers filter
-coverage through a :class:`~repro.observe.coverage.SharedVirginMap`:
-only runs that light up a locally-unseen bucket ship their (packed)
-edge blob back to the master.
+sequential campaigns produce identical reports.  Every run ships its
+packed edge blob back to the master, whose private virgin map is the
+only one: workers keep no coverage state between runs.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable
 
-from repro.campaign import CampaignRunner
+from repro.campaign import CampaignRunner, CampaignSession
 from repro.machine.machine import MachineSnapshot, RunResult
 from repro.minic import compile_source
 from repro.minic.compiler import options_from_mitigations
@@ -56,7 +55,6 @@ from repro.observe.coverage import (
     MAP_SIZE,
     CoverageObserver,
     CrashSite,
-    SharedVirginMap,
     has_new_bits,
     pack_edges,
     unpack_edges,
@@ -116,14 +114,13 @@ class SourceFactory:
 def _instrument(target, observer: CoverageObserver | None, invariants: bool,
                 baseline_bytes: bytes | None):
     """Attach ``observer`` and (with ``invariants``) a bound
-    :class:`InvariantMonitor` to a fresh build; returns ``(machine,
-    monitor)``.  A resumed campaign does not trust a rebuild to
-    reproduce the original image bit-for-bit, so it restores the
-    stored RSNP ``baseline_bytes`` over the build."""
+    :class:`InvariantMonitor` to a fresh build; returns the build.  A
+    resumed campaign does not trust a rebuild to reproduce the
+    original image bit-for-bit, so it restores the stored RSNP
+    ``baseline_bytes`` over the build."""
     machine = getattr(target, "machine", target)
     if observer is not None:
         machine.attach_observer(observer)
-    monitor = None
     if invariants:
         monitor = InvariantMonitor()
         machine.attach_observer(monitor)
@@ -131,7 +128,7 @@ def _instrument(target, observer: CoverageObserver | None, invariants: bool,
             monitor.bind_program(target)
     if baseline_bytes is not None:
         machine.restore(MachineSnapshot.from_bytes(baseline_bytes))
-    return machine, monitor
+    return target
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,8 @@ class InstrumentedFactory:
     baseline_bytes: bytes | None = None
 
     def __call__(self):
-        target = self.base()
-        _instrument(target, CoverageObserver(), self.invariants,
-                    self.baseline_bytes)
-        return target
+        return _instrument(self.base(), CoverageObserver(), self.invariants,
+                           self.baseline_bytes)
 
 
 def _coverage_observer(machine) -> CoverageObserver:
@@ -173,16 +168,16 @@ def _invariant_monitor(machine) -> InvariantMonitor | None:
 # ---------------------------------------------------------------------------
 
 
-class SnapshotExecutor:
+class SnapshotExecutor(CampaignSession):
     """Warm fork-server execution: build once, CoW-restore per input.
 
-    A single-input executor for callers that drive inputs one at a
-    time: the blind :func:`repro.analysis.fuzzer.fuzz_campaign` runs
-    it unobserved, and crash replays attach a
-    :class:`CoverageObserver` (dispatch-transparent, so both run
-    superblock dispatch with warm block caches across restores).  The
-    greybox loop does not use it: its batches go through
-    :class:`~repro.campaign.CampaignRunner` with
+    A single-input :class:`~repro.campaign.CampaignSession` for callers
+    that drive inputs one at a time: the blind
+    :func:`repro.analysis.fuzzer.fuzz_campaign` runs it unobserved, and
+    crash replays attach a :class:`CoverageObserver`
+    (dispatch-transparent, so both run superblock dispatch with warm
+    block caches across restores).  The greybox loop does not use it:
+    its batches go through :class:`~repro.campaign.CampaignRunner` with
     :class:`InstrumentedFactory` and :class:`CoverageTrial`.
     """
 
@@ -195,25 +190,28 @@ class SnapshotExecutor:
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         baseline_bytes: bytes | None = None,
     ) -> None:
-        self.target = factory()
+        #: Reset before every run; callers may attach one later.
         self.observer = observer
-        self.machine, self.monitor = _instrument(
-            self.target, observer, invariants, baseline_bytes)
-        self.baseline = self.machine.snapshot()
         self.max_instructions = max_instructions
         #: Total inputs executed through this executor.
         self.execs = 0
-        #: Total dirty pages rewound across all restores.
-        self.restored_pages = 0
+        super().__init__(
+            lambda: _instrument(factory(), observer, invariants,
+                                baseline_bytes),
+            self._feed,
+        )
+        self.monitor = _invariant_monitor(self.machine)
 
-    def run(self, data: bytes) -> RunResult:
-        """Restore the baseline snapshot, feed ``data``, run."""
-        self.restored_pages += self.machine.restore(self.baseline)
+    def _feed(self, target, data: bytes) -> RunResult:
         if self.observer is not None:
             self.observer.begin_run()
         self.machine.input.feed(data)
         self.execs += 1
         return self.machine.run(self.max_instructions)
+
+    def run(self, data: bytes) -> RunResult:
+        """Restore the baseline snapshot, feed ``data``, run."""
+        return self.run_trial(data)
 
 
 @dataclass(frozen=True)
@@ -221,18 +219,15 @@ class ExecOutcome:
     """Picklable digest of one fuzz execution (what crosses worker
     process boundaries in ``jobs > 1`` campaigns).
 
-    ``edges`` is the :func:`~repro.observe.coverage.pack_edges` blob
-    (3 bytes per edge), or ``b""`` when a worker's shared-virgin-map
-    overlay proved the run covers nothing new (the bitmap-delta
-    filter: plateaued campaigns ship almost no coverage bytes at all).
-    Pickles written before the packed format -- tuple-of-tuples edge
-    lists -- still load and compare; :meth:`edge_items` normalizes
-    both shapes.
+    ``edges`` is the run's full :func:`~repro.observe.coverage.pack_edges`
+    blob (3 bytes per edge); the master tests it against its virgin
+    map.  Outcomes are never stored: checkpoints hold inputs and crash
+    sites only.
     """
 
     status: str
     fault: str | None
-    edges: bytes | tuple[tuple[int, int], ...]
+    edges: bytes
     crash_site: CrashSite | None
     instructions: int
 
@@ -242,24 +237,13 @@ class ExecOutcome:
         return self.fault is not None and self.fault not in _NON_DETECTIONS
 
     def edge_items(self) -> tuple[tuple[int, int], ...]:
-        """The run's ``(cell, bucket_mask)`` pairs, whatever the wire
-        shape (packed blob, or a legacy tuple-of-tuples pickle)."""
-        if isinstance(self.edges, (bytes, bytearray)):
-            return unpack_edges(self.edges)
-        return tuple(self.edges)
+        """The run's ``(cell, bucket_mask)`` pairs."""
+        return unpack_edges(self.edges)
 
 
 def outcome_of(observer: CoverageObserver, result: RunResult,
-               monitor: InvariantMonitor | None = None,
-               local_virgin: bytearray | None = None) -> ExecOutcome:
-    """Reduce one finished run to its picklable digest.
-
-    With ``local_virgin`` (a worker's private overlay of the shared
-    virgin map) the edge blob is shipped only when the run set a bit
-    the overlay had never seen -- the test *and* set happen here, so
-    the overlay accumulates this worker's own coverage between
-    :meth:`CoverageTrial.begin_batch` refreshes.
-    """
+               monitor: InvariantMonitor | None = None) -> ExecOutcome:
+    """Reduce one finished run to its picklable digest."""
     crash_site = observer.crash_site
     if monitor is not None and crash_site is not None:
         first = monitor.first_breach
@@ -268,34 +252,13 @@ def outcome_of(observer: CoverageObserver, result: RunResult,
             # faulting PC reached via a canary clobber and via a plain
             # wild write are different bugs.
             crash_site = replace(crash_site, first_breach=first.invariant)
-    items = observer.edge_items()
-    if local_virgin is not None and not has_new_bits(local_virgin, items):
-        edges = b""
-    else:
-        edges = pack_edges(items)
     return ExecOutcome(
         status=result.status.value,
         fault=type(result.fault).__name__ if result.fault else None,
-        edges=edges,
+        edges=pack_edges(observer.edge_items()),
         crash_site=crash_site,
         instructions=result.instructions,
     )
-
-
-#: Per-process cache of shared-virgin-map attachments: segment name ->
-#: ``(handle, private overlay)``.  Lives at module level because
-#: :class:`CoverageTrial` is a frozen dataclass that crosses process
-#: boundaries by pickle; the attachment must be made (once) inside the
-#: worker process itself.
-_VIRGIN_OVERLAYS: dict[str, tuple[SharedVirginMap, bytearray]] = {}
-
-
-def _virgin_overlay(name: str) -> tuple[SharedVirginMap, bytearray]:
-    entry = _VIRGIN_OVERLAYS.get(name)
-    if entry is None:
-        entry = (SharedVirginMap.attach(name), bytearray(MAP_SIZE))
-        _VIRGIN_OVERLAYS[name] = entry
-    return entry
 
 
 @dataclass(frozen=True)
@@ -304,27 +267,12 @@ class CoverageTrial:
 
     Used with :class:`InstrumentedFactory` under a
     :class:`~repro.campaign.CampaignRunner` -- the session restores
-    the snapshot, this callable feeds, runs and digests.
-
-    ``virgin_map`` names the master's :class:`SharedVirginMap`.  When
-    set, each worker keeps a private overlay of it -- refreshed from
-    shared memory once per batch (:meth:`begin_batch`), test-and-set
-    locally per run -- and ships each run's edge blob only when the
-    run is locally novel.  Soundness does not depend on freshness:
-    the overlay is always a subset of what the master knows by the
-    time it integrates this worker's results, so filtering never
-    drops coverage the master has not already seen.
+    the snapshot, this callable feeds, runs and digests.  The digest
+    carries the run's full edge blob wherever it ran, so a worker
+    keeps no coverage state and the master alone decides novelty.
     """
 
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
-    virgin_map: str | None = None
-
-    def begin_batch(self, target) -> None:
-        """Per-batch hook (:meth:`CampaignSession.run_batch`): fold the
-        published virgin bits into this worker's private overlay."""
-        if self.virgin_map is not None:
-            shared, local = _virgin_overlay(self.virgin_map)
-            shared.merge_into(local)
 
     def __call__(self, target, data: bytes) -> ExecOutcome:
         machine = getattr(target, "machine", target)
@@ -332,11 +280,7 @@ class CoverageTrial:
         observer.begin_run()
         machine.input.feed(data)
         result = machine.run(self.max_instructions)
-        local = None
-        if self.virgin_map is not None:
-            local = _virgin_overlay(self.virgin_map)[1]
-        return outcome_of(observer, result, _invariant_monitor(machine),
-                          local_virgin=local)
+        return outcome_of(observer, result, _invariant_monitor(machine))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +464,7 @@ class GreyboxFuzzer:
     whose warm session runs ``jobs=1`` batches and crash
     minimization; with ``jobs > 1`` each :meth:`run` adds a pooled
     runner whose workers each hold their own warm instrumented
-    snapshot and share the campaign's virgin map.
+    snapshot and return every run's edges to the master's virgin map.
     """
 
     #: Mutants per havoc batch (also the parallel fan-out unit).
@@ -546,9 +490,11 @@ class GreyboxFuzzer:
         config: str = "?",
         snapshot_bytes: bytes | None = None,
     ) -> None:
+        self.seeds = tuple(seeds)
+        if not self.seeds:
+            raise ValueError("GreyboxFuzzer needs at least one seed input")
         self.factory = factory
         self.rng = random.Random(seed)
-        self.seeds = tuple(seeds)
         self.max_len = max_len
         self.max_instructions = max_instructions
         self.jobs = jobs
@@ -571,14 +517,12 @@ class GreyboxFuzzer:
 
     # -- execution plumbing --------------------------------------------------
 
-    def _runner(self, jobs: int | None = None,
-                virgin_map: str | None = None) -> CampaignRunner:
-        """A runner over the instrumented victim; ``virgin_map`` names
-        the shared virgin map its pool workers filter through."""
+    def _runner(self, jobs: int | None = None) -> CampaignRunner:
+        """A runner over the instrumented victim."""
         return CampaignRunner(
             InstrumentedFactory(self.factory, invariants=self.invariants,
                                 baseline_bytes=self.snapshot_bytes),
-            trial=CoverageTrial(self.max_instructions, virgin_map=virgin_map),
+            trial=CoverageTrial(self.max_instructions),
             jobs=jobs,
             chunksize=max(1, self.batch_size // max(1, jobs or 1)),
         )
@@ -818,12 +762,8 @@ class GreyboxFuzzer:
             resumed_pending = self._restore_state(resume, report, crashes)
 
         runner = self._local
-        shared = None
         if self.jobs and self.jobs > 1:
-            # The pool's workers filter coverage through the shared
-            # virgin map; the master's own session never attaches it.
-            shared = SharedVirginMap.create()
-            runner = self._runner(self.jobs, shared.name).__enter__()
+            runner = self._runner(self.jobs).__enter__()
         pages = 0
         batches_done = 0
         interrupted = False
@@ -851,8 +791,6 @@ class GreyboxFuzzer:
                 # advanced through it) but never integrated: it is the
                 # resumed stream's next batch, verbatim.
                 current = resumed_pending[:max(0, max_execs - report.execs)]
-            if shared is not None:
-                shared.publish(self._virgin)
             pending = runner.submit_items(current)
             if checkpoint is not None:
                 checkpoint(self._campaign_state(report, crashes, current))
@@ -870,8 +808,6 @@ class GreyboxFuzzer:
                         data, outcome, report.execs,
                         perf_counter() - started, report, crashes,
                     )
-                if shared is not None:
-                    shared.publish(self._virgin)
                 if stop_on_first_crash and report.first_detected_exec:
                     next_pending.cancel()
                     break
@@ -889,8 +825,6 @@ class GreyboxFuzzer:
         finally:
             if runner is not self._local:
                 runner.close()
-            if shared is not None:
-                shared.close()
 
         if minimize and crashes and not interrupted:
             session = self._local.session()

@@ -90,20 +90,11 @@ class CampaignSession:
         self.restored_pages += self.machine.restore(self.baseline)
         return self.trial(self.target, item)
 
-    def run_batch(self, items) -> list:
-        begin = getattr(self.trial, "begin_batch", None)
-        if begin is not None:
-            # Per-batch trial hook: the greybox fuzzer's CoverageTrial
-            # refreshes its shared-virgin-map overlay here, once per
-            # batch instead of once per trial.
-            begin(self.target)
-        run_trial = self.run_trial
-        return [run_trial(item) for item in items]
-
     def run_counted(self, items) -> tuple[list, int]:
-        """:meth:`run_batch` plus the dirty pages it rewound."""
+        """One trial per item, in order, plus the dirty pages rewound."""
         before = self.restored_pages
-        verdicts = self.run_batch(items)
+        run_trial = self.run_trial
+        verdicts = [run_trial(item) for item in items]
         return verdicts, self.restored_pages - before
 
 

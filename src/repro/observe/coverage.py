@@ -22,7 +22,6 @@ of 4x" counts as new behaviour while "39x vs 40x" does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
 
 from repro.observe.events import Observer
@@ -222,7 +221,7 @@ def has_new_bits(virgin: bytearray, edges: tuple[tuple[int, int], ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Wire format: packed edge sets and the shared virgin map
+# Wire format: packed edge sets
 # ---------------------------------------------------------------------------
 
 #: Bytes per packed edge: 2-byte little-endian cell index + 1-byte
@@ -254,74 +253,3 @@ def unpack_edges(blob: bytes) -> tuple[tuple[int, int], ...]:
         (blob[pos] | (blob[pos + 1] << 8), blob[pos + 2])
         for pos in range(0, len(blob), _EDGE_RECORD)
     )
-
-
-class SharedVirginMap:
-    """The campaign-global virgin bitmap in shared memory.
-
-    Protocol (master-authoritative, lock-free):
-
-    * the fuzzing master :meth:`create`\\ s the segment and is the only
-      writer -- it :meth:`publish`\\ es its private virgin map after
-      integrating each batch;
-    * workers :meth:`attach` by name and periodically OR the published
-      bytes into a private overlay (:meth:`merge_into`), against which
-      they test-and-set each run's edges locally;
-    * a worker ships a run's full edge set only when the run set a bit
-      its overlay had never seen.  Filtered runs ship an empty blob.
-
-    This is sound without any locking because virgin bits are
-    monotonic: anything a worker's overlay knows is a subset of what
-    the master's map knows by the time the master integrates that
-    worker's later results, so "not new locally" always implies "not
-    new globally".  A stale or torn read only makes a worker ship
-    edges it did not strictly need to -- never drop coverage.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-
-    @property
-    def name(self) -> str:
-        """Segment name workers use to :meth:`attach`."""
-        return self._shm.name
-
-    @classmethod
-    def create(cls) -> "SharedVirginMap":
-        """Allocate a fresh all-zero map (master side)."""
-        shm = shared_memory.SharedMemory(create=True, size=MAP_SIZE)
-        shm.buf[:MAP_SIZE] = bytes(MAP_SIZE)
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedVirginMap":
-        """Open an existing map by name (worker side)."""
-        # Workers share the master's resource tracker, so the attach
-        # needs no tracker bookkeeping of its own: the master's
-        # unlink() is the one unregistration.
-        return cls(shared_memory.SharedMemory(name=name), owner=False)
-
-    def publish(self, virgin: bytearray) -> None:
-        """Overwrite the shared bytes with the master's map."""
-        self._shm.buf[:MAP_SIZE] = bytes(virgin)
-
-    def snapshot(self) -> bytes:
-        """The currently published map."""
-        return bytes(self._shm.buf[:MAP_SIZE])
-
-    def merge_into(self, local: bytearray) -> None:
-        """OR the published bits into a worker's private overlay."""
-        merged = int.from_bytes(local, "little") | int.from_bytes(
-            self._shm.buf[:MAP_SIZE], "little"
-        )
-        local[:] = merged.to_bytes(MAP_SIZE, "little")
-
-    def close(self) -> None:
-        """Detach; the owner also unlinks the segment."""
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass

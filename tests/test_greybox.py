@@ -23,7 +23,6 @@ import pickle
 import pytest
 
 from repro.analysis.greybox import (
-    ExecOutcome,
     GreyboxFuzzer,
     SnapshotExecutor,
     VictimFactory,
@@ -37,7 +36,6 @@ from repro.observe.coverage import (
     MAP_SIZE,
     CoverageObserver,
     CrashSite,
-    SharedVirginMap,
     bucket_mask,
     edge_index,
     has_new_bits,
@@ -238,6 +236,12 @@ class TestGreyboxRegressions:
         assert report.corpus_size >= 1
         assert report.edges > 0
 
+    def test_empty_seed_corpus_is_rejected(self):
+        """With no seed at all the havoc stage has nothing to mutate
+        (it used to die on ``len(self.seeds) == 0`` mid-campaign)."""
+        with pytest.raises(ValueError, match="at least one seed"):
+            GreyboxFuzzer(VictimFactory("data_only", TESTING), seeds=())
+
     def test_report_counts_restored_pages_on_both_paths(self):
         """restored_pages sums every batch's restores, pooled or not
         (a jobs=2 report used to read 0)."""
@@ -375,7 +379,7 @@ class TestEffectiveness:
 
 
 # ---------------------------------------------------------------------------
-# Wire compatibility + the shared virgin map
+# Wire format + the parallel campaign
 # ---------------------------------------------------------------------------
 
 
@@ -387,25 +391,6 @@ class TestWireCompat:
         assert unpack_edges(blob) == edges
         assert pack_edges(()) == b""
         assert unpack_edges(b"") == ()
-
-    def test_old_tuple_edges_pickle_still_loads(self):
-        """PR 5-era ExecOutcome pickles carried edges as a
-        tuple-of-tuples; they must still load and integrate."""
-        old = ExecOutcome(status="fault", fault="RedZoneFault",
-                          edges=((5, 1), (9, 2)),
-                          crash_site=CrashSite("RedZoneFault", 0x1000, 7),
-                          instructions=44)
-        back = pickle.loads(pickle.dumps(old))
-        assert back.edge_items() == ((5, 1), (9, 2))
-        assert back.is_detection
-        virgin = bytearray(MAP_SIZE)
-        assert has_new_bits(virgin, back.edge_items())
-
-    def test_packed_and_tuple_outcomes_integrate_identically(self):
-        items = ((5, 1), (9, 2), (700, 8))
-        packed = ExecOutcome("exited", None, pack_edges(items), None, 10)
-        legacy = ExecOutcome("exited", None, items, None, 10)
-        assert packed.edge_items() == legacy.edge_items()
 
     def test_three_field_crash_site_fixture(self):
         """Old CrashSite pickles (pre-first_breach) construct and
@@ -425,59 +410,10 @@ class TestWireCompat:
         assert len(pickle.dumps(outcome.edges)) < len(tuple_pickle)
 
 
-class TestSharedVirginMap:
-    def test_publish_attach_snapshot(self):
-        shared = SharedVirginMap.create()
-        try:
-            virgin = bytearray(MAP_SIZE)
-            virgin[7] = 3
-            virgin[4095] = 128
-            shared.publish(virgin)
-            worker = SharedVirginMap.attach(shared.name)
-            try:
-                assert worker.snapshot() == bytes(virgin)
-                local = bytearray(MAP_SIZE)
-                local[9] = 1
-                worker.merge_into(local)
-                assert local[7] == 3 and local[9] == 1 and local[4095] == 128
-            finally:
-                worker.close()
-        finally:
-            shared.close()
-
-    def test_overlay_filters_repeat_coverage(self):
-        """A run whose every bucket is already in the worker overlay
-        ships an empty edge blob; a novel run ships the full set."""
-        executor, observer = instrumented_executor("fig1_staged", TESTING)
-        local = bytearray(MAP_SIZE)
-        first = outcome_of(observer, executor.run(b"GET x"),
-                           local_virgin=local)
-        assert first.edges != b""
-        repeat = outcome_of(observer, executor.run(b"GET x"),
-                            local_virgin=local)
-        assert repeat.edges == b""
-        assert repeat.edge_items() == ()
-        # The rejected-method path takes branches the GET path never
-        # did: locally novel, so the full edge set ships.
-        novel = outcome_of(observer, executor.run(b"PUT x"),
-                           local_virgin=local)
-        assert novel.edges != b""
-
-    def test_filtered_crash_keeps_its_site(self):
-        """Novelty filtering must never swallow a crash signature."""
-        executor, observer = instrumented_executor("fig1_staged", TESTING)
-        local = bytearray(MAP_SIZE)
-        outcome_of(observer, executor.run(GET_SMASH), local_virgin=local)
-        repeat = outcome_of(observer, executor.run(GET_SMASH),
-                            local_virgin=local)
-        assert repeat.edges == b""
-        assert repeat.crash_site is not None
-        assert repeat.is_detection
-
+class TestParallelCampaign:
     def test_parallel_campaign_leaves_stderr_clean(self):
-        """A jobs=2 campaign must not disturb the resource tracker the
-        workers share with the master: unlinking the shared map at the
-        end used to print a tracker ``KeyError`` traceback."""
+        """A jobs=2 campaign leaves stderr free of tracebacks, from
+        pool start to shutdown."""
         script = (
             "from repro.analysis.greybox import GreyboxFuzzer, VictimFactory\n"
             "from repro.mitigations.config import TESTING\n"
@@ -492,17 +428,14 @@ class TestSharedVirginMap:
 
     @BLOCK_LEGS
     def test_parallel_matches_sequential_both_legs(self, dispatch):
-        """The shared-virgin-map + pipelined path must stay
-        report-identical to sequential under either dispatch leg."""
-        results = []
-        for jobs in (None, 2):
-            report = GreyboxFuzzer(
+        """The pooled, pipelined path must stay report-identical to
+        sequential under either dispatch leg, first-breach attribution
+        included."""
+        fingerprints = [
+            GreyboxFuzzer(
                 VictimFactory("fig1_staged", TESTING), seed=5, jobs=jobs,
-            ).run(max_execs=300, minimize=False)
-            results.append((
-                report.execs, report.edges, report.corpus_size,
-                report.coverage_curve, report.first_detected_exec,
-                [c.site for c in report.crashes],
-                [c.input for c in report.crashes],
-            ))
-        assert results[0] == results[1]
+                invariants=True,
+            ).run(max_execs=300, minimize=False).fingerprint()
+            for jobs in (None, 2)
+        ]
+        assert fingerprints[0] == fingerprints[1]
